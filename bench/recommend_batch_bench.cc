@@ -7,7 +7,7 @@
 //                 baseline, paying per-request HTTP framing, store
 //                 round trip, and snapshot pin.
 //   * batched   — 16-request POST /v1/recommend:batch calls: one HTTP
-//                 round trip, one store MultiGet/MultiPut, and one
+//                 round trip, one atomic store MultiUpdate, and one
 //                 snapshot pin amortised across the batch. The server
 //                 runs the executor in pass-through (each client batch
 //                 executes inline as one service batch — on small hosts

@@ -77,7 +77,10 @@ size_t ClickTap::buffered() const {
 Status ClickTap::FlushNow() {
   while (true) {
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      // A batch the flusher thread popped is shipped or requeued before
+      // this returns, so no click observed before the call is in limbo.
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return in_flight_ == 0; });
       if (buffer_.empty()) return Status::Ok();
     }
     SERENADE_RETURN_IF_ERROR(ShipOneBatch());
@@ -97,6 +100,7 @@ Status ClickTap::ShipOneBatch() {
                  buffer_.begin() + static_cast<ptrdiff_t>(take));
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<ptrdiff_t>(take));
+    ++in_flight_;
   }
 
   JsonWriter json;
@@ -127,6 +131,9 @@ Status ClickTap::ShipOneBatch() {
   Status result = Status::Ok();
   if (response.ok() && response->status == 200) {
     shipped_.fetch_add(batch.size(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
+    cv_.notify_all();
     return Status::Ok();
   }
   if (response.ok() && response->status == 429) {
@@ -158,6 +165,8 @@ Status ClickTap::ShipOneBatch() {
   for (size_t i = keep; i-- > 0;) {
     buffer_.push_front(std::move(batch[i]));
   }
+  --in_flight_;
+  cv_.notify_all();
   return result;
 }
 

@@ -95,9 +95,10 @@ class ClickTap {
 
   const ClickTapConfig config_;
 
-  mutable std::mutex mutex_;  // guards buffer_ + backoff deadline
+  mutable std::mutex mutex_;  // guards buffer_, in_flight_ + backoff deadline
   std::condition_variable cv_;
   std::deque<PendingClick> buffer_;
+  size_t in_flight_ = 0;  // batches popped off buffer_ and not yet settled
   uint64_t backoff_until_ms_ = 0;  // NowUnixMs horizon from Retry-After
   bool stopping_ = false;
   std::thread flusher_;

@@ -176,18 +176,22 @@ void BatchExecutor::RunBatch(std::vector<std::unique_ptr<PendingOp>> batch) {
   }
 }
 
+std::vector<BatchExecutor::Result> BatchExecutor::RunInline(
+    const std::vector<RecommendRequest>& requests, Trace* trace) {
+  return service_->HandleUpdateAndRecommendBatch(
+      requests, std::vector<Trace*>(requests.size(), trace));
+}
+
 BatchExecutor::Result BatchExecutor::Execute(const RecommendRequest& request,
                                              Trace* trace) {
-  if (passthrough()) {
-    return service_->HandleUpdateAndRecommend(request, trace);
-  }
+  if (passthrough()) return std::move(RunInline({request}, trace)[0]);
   auto pending = SubmitAsync(request, trace);
   if (!pending.ok()) return pending.status();
   return pending->get();
 }
 
 std::vector<BatchExecutor::Result> BatchExecutor::ExecuteBatch(
-    const std::vector<RecommendRequest>& requests) {
+    const std::vector<RecommendRequest>& requests, Trace* trace) {
   if (passthrough()) {
     // Still amortised: the whole client batch runs as one service batch
     // (and counts as one, so the coalescing metrics stay truthful).
@@ -196,7 +200,7 @@ std::vector<BatchExecutor::Result> BatchExecutor::ExecuteBatch(
     if (batch_size_hist_ != nullptr) {
       batch_size_hist_->Record(requests.size());
     }
-    return service_->HandleUpdateAndRecommendBatch(requests);
+    return RunInline(requests, trace);
   }
   // Scatter across the worker queues (session-key affinity keeps
   // duplicate keys ordered), then gather in slot order.

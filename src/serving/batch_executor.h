@@ -1,21 +1,20 @@
 // Micro-batching execution layer for update-and-recommend: a bounded
 // per-worker submission queue plus a small worker pool that coalesces
 // concurrent requests into micro-batches. Each batch pays the fixed
-// per-request costs once — one session-store MultiGet/MultiPut, one
+// per-request costs once — one atomic session-store MultiUpdate, one
 // index-snapshot pin, one recommender-pool checkout — and scores every
 // item on the shared recommender before scattering results back to the
 // waiting connection threads (the batching analogue of the paper's
 // Section 6 low-latency serving loop; cf. xGR's batched inference).
 //
 // Requests are routed to workers by session-key hash, so all traffic for
-// one session flows through one FIFO queue: two clicks of the same
-// session can never race in different batches, which preserves the
-// read-modify-write atomicity the unbatched path got from
-// SessionStore::Update.
+// one session flows through one FIFO queue and a session's clicks apply
+// in submission order. Atomicity does not depend on the routing: every
+// batch writes through SessionStore::MultiUpdate.
 //
 // At max_batch_size <= 1 (the default) the executor degenerates to a
-// pass-through that runs the request inline on the caller's thread —
-// zero queues, zero handoffs, same latency as the pre-batching path.
+// pass-through: Execute and ExecuteBatch run the service's batch path
+// inline on the caller's thread — zero queues, zero handoffs.
 #pragma once
 
 #include <atomic>
@@ -113,18 +112,20 @@ class BatchExecutor {
   }
 
   /// Executes one request, blocking until its result is ready. In
-  /// pass-through mode this is exactly SerenadeService::
-  /// HandleUpdateAndRecommend; otherwise the request is queued, coalesced
-  /// into a micro-batch, and `trace` additionally receives a queue_wait
-  /// span (batch-wide store/pin spans cover the whole batch's work).
+  /// pass-through mode this runs the service's batch path inline on a
+  /// batch of one; otherwise the request is queued, coalesced into a
+  /// micro-batch, and `trace` additionally receives a queue_wait span
+  /// (batch-wide store/pin spans cover the whole batch's work).
   Result Execute(const RecommendRequest& request, Trace* trace = nullptr);
 
   /// Executes an explicit client-side batch (POST /v1/recommend:batch):
   /// results[i] corresponds to requests[i]; a failing slot (validation,
   /// queue rejection) never fails its siblings. Duplicate session keys
-  /// are applied in slot order.
+  /// are applied in slot order. `trace` records the stages in
+  /// pass-through only: batching scatters slots across worker threads,
+  /// and a Trace belongs to one thread.
   std::vector<Result> ExecuteBatch(
-      const std::vector<RecommendRequest>& requests);
+      const std::vector<RecommendRequest>& requests, Trace* trace = nullptr);
 
   uint64_t batches_executed() const {
     return batches_.load(std::memory_order_relaxed);
@@ -156,6 +157,10 @@ class BatchExecutor {
   /// kUnavailable when the queue is full or the executor is stopped.
   StatusOr<std::future<Result>> SubmitAsync(const RecommendRequest& request,
                                             Trace* trace);
+
+  /// Pass-through: `requests` as one service batch on this thread.
+  std::vector<Result> RunInline(const std::vector<RecommendRequest>& requests,
+                                Trace* trace);
 
   void WorkerLoop(Worker& worker);
   void RunBatch(std::vector<std::unique_ptr<PendingOp>> batch);

@@ -1036,11 +1036,7 @@ Status ReactorCore::Start(uint16_t port) {
   port_ = ntohs(address.sin_port);
   listen_fd_.store(fd, std::memory_order_release);
 
-  size_t worker_count = options_.worker_threads;
-  if (worker_count == 0) {
-    worker_count = std::max<size_t>(4, std::thread::hardware_concurrency());
-  }
-  workers_ = std::make_unique<ThreadPool>(worker_count);
+  workers_ = std::make_unique<ThreadPool>(options_.worker_threads);
 
   const size_t reactor_count = std::max<size_t>(1, options_.reactor_threads);
   for (size_t i = 0; i < reactor_count; ++i) {
@@ -1079,7 +1075,12 @@ void ReactorCore::Shutdown() {
 HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
     : handler_(std::move(handler)),
       options_(options),
-      counters_(std::make_shared<detail::ServerCounters>()) {}
+      counters_(std::make_shared<detail::ServerCounters>()) {
+  if (options_.worker_threads == 0) {
+    options_.worker_threads =
+        std::max<size_t>(4, std::thread::hardware_concurrency());
+  }
+}
 
 HttpServer::~HttpServer() { Stop(); }
 

@@ -208,7 +208,12 @@ class HttpServer {
   /// Snapshot of the reactor counters (survives Stop()).
   HttpServerStats stats() const;
 
+  /// The options as resolved at construction (worker_threads 0 becomes
+  /// the actual handler-thread count).
   const HttpServerOptions& options() const { return options_; }
+
+  /// Handler threads, i.e. how many requests can be in a handler at once.
+  size_t worker_threads() const { return options_.worker_threads; }
 
   /// Optional event-loop lag histogram (microseconds spent processing one
   /// epoll batch). Call before Start(); the histogram must outlive the

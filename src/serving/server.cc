@@ -355,6 +355,10 @@ Status SerenadeServer::Start() {
       [this](const HttpRequest& request) { return Handle(request); },
       http_options);
   http_->set_loop_lag_histogram(reactor_loop_lag_micros_);
+  // One scoring slot per thread that calls into the service: the handler
+  // threads in pass-through, the executor's workers when batching.
+  service_->Prewarm(executor_->passthrough() ? http_->worker_threads()
+                                             : config_.batch.num_workers);
   SERENADE_RETURN_IF_ERROR(http_->Start(config_.port));
   if (config_.janitor_interval_ms > 0) {
     stopping_.store(false);
@@ -544,7 +548,7 @@ HttpResponse SerenadeServer::HandleRecommendBatch(const HttpRequest& request,
     request_slots.push_back(i);
   }
   std::vector<BatchExecutor::Result> executed =
-      executor_->ExecuteBatch(requests);
+      executor_->ExecuteBatch(requests, trace);
   if (write_hooks_.divert && write_hooks_.done) {
     for (const RecommendRequest& request : requests) {
       write_hooks_.done(request.session_key);

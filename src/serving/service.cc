@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
-#include <unordered_map>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -83,7 +82,7 @@ StatusOr<std::unique_ptr<SerenadeService>> SerenadeService::Create(
 
 Status SerenadeService::ReloadIndex(const std::string& path) {
   SERENADE_RETURN_IF_ERROR(manager_->ReloadFromFile(path));
-  PruneStaleRecommenders(manager_->current_version());
+  Prewarm(prewarm_count_.load(std::memory_order_relaxed));
   return Status::Ok();
 }
 
@@ -105,7 +104,7 @@ EngineKind SerenadeService::ResolveEngine(EngineKind requested) {
 Status SerenadeService::ApplyDelta(const IndexDelta& delta,
                                    IndexManager::DeltaApplyInfo* info) {
   SERENADE_RETURN_IF_ERROR(manager_->ApplyDelta(delta, info));
-  PruneStaleRecommenders(manager_->current_version());
+  Prewarm(prewarm_count_.load(std::memory_order_relaxed));
   return Status::Ok();
 }
 
@@ -148,20 +147,27 @@ void SerenadeService::ReleaseRecommender(PooledRecommender entry) {
   // Dropped: entry (and its snapshot pin) destructs here, outside the lock.
 }
 
-void SerenadeService::PruneStaleRecommenders(uint64_t version) {
+void SerenadeService::Prewarm(size_t count) {
+  const std::shared_ptr<const IndexSnapshot> snapshot = manager_->Current();
+  // Declared before the lock, so retired entries (and the snapshots they
+  // pin) are destroyed after it is released.
   std::vector<PooledRecommender> stale;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    auto keep_end = std::remove_if(
-        recommender_pool_.begin(), recommender_pool_.end(),
-        [version](const PooledRecommender& entry) {
-          return entry.version != version;
-        });
-    stale.assign(std::make_move_iterator(keep_end),
-                 std::make_move_iterator(recommender_pool_.end()));
-    recommender_pool_.erase(keep_end, recommender_pool_.end());
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  prewarm_count_.store(count, std::memory_order_relaxed);
+  auto keep_end = std::partition(
+      recommender_pool_.begin(), recommender_pool_.end(),
+      [&](const PooledRecommender& entry) {
+        return entry.version == snapshot->version();
+      });
+  stale.assign(std::make_move_iterator(keep_end),
+               std::make_move_iterator(recommender_pool_.end()));
+  recommender_pool_.erase(keep_end, recommender_pool_.end());
+  const size_t target = std::min(count, config_.max_pooled_recommenders);
+  while (recommender_pool_.size() < target) {
+    recommender_pool_.push_back(PooledRecommender{
+        snapshot->version(), snapshot,
+        std::make_unique<VmisKnn>(&snapshot->index(), config_.knn)});
   }
-  // Retired snapshots release here, outside the lock.
 }
 
 size_t SerenadeService::PooledRecommenders() const {
@@ -171,72 +177,7 @@ size_t SerenadeService::PooledRecommenders() const {
 
 StatusOr<std::vector<ScoredItem>> SerenadeService::HandleUpdateAndRecommend(
     const RecommendRequest& request, Trace* trace) {
-  if (request.item == kInvalidItem) {
-    return Status::InvalidArgument("missing item id");
-  }
-  if (request.session_key.empty()) {
-    return Status::InvalidArgument("missing session key");
-  }
-
-  // Step 2 (Figure 1): update the evolving session with a machine-local
-  // read-modify-write (the store records it as the store_put span).
-  EvolvingSession evolving;
-  const Status update_status = store_->Update(
-      request.session_key,
-      [&](const std::string& current) {
-        evolving = DecodeSession(current);
-        evolving.push_back(request.item);
-        if (evolving.size() > config_.max_stored_session_length) {
-          evolving.erase(evolving.begin(),
-                         evolving.end() -
-                             static_cast<ptrdiff_t>(
-                                 config_.max_stored_session_length));
-        }
-        return EncodeSession(evolving);
-      },
-      trace);
-  SERENADE_RETURN_IF_ERROR(update_status);
-
-  // Depersonalisation (Section 4.2): without consent, only the currently
-  // displayed item feeds the prediction.
-  if (!request.consent) {
-    evolving.assign(1, request.item);
-  }
-
-  // Step 3: prediction against the pinned snapshot of whichever retrieval
-  // family the request resolved to. The pin outlives the scoring pass, so
-  // a concurrent hot swap can never free the index under us. Fetch more
-  // than the UI needs so the business-rule filters have spare candidates.
-  const size_t fetch = config_.rules.max_items * 2 + 8;
-  if (ResolveEngine(request.engine) == EngineKind::kAnn) {
-    Span pin_span(trace, TraceStage::kSnapshotPin);
-    const std::shared_ptr<const EmbeddingSnapshot> snapshot =
-        embeddings_->Current();
-    pin_span.End();
-
-    Span knn_span(trace, TraceStage::kKnnRetrieve);
-    AnnRecommender ann(&snapshot->embeddings(), &snapshot->ann(),
-                       config_.ann);
-    const std::vector<ScoredItem> raw = ann.RecommendNext(evolving, fetch);
-    knn_span.End();
-
-    Span rank_span(trace, TraceStage::kRank);
-    return ApplyBusinessRules(raw, catalog_, config_.rules);
-  }
-
-  Span pin_span(trace, TraceStage::kSnapshotPin);
-  const std::shared_ptr<const IndexSnapshot> snapshot = manager_->Current();
-  PooledRecommender entry = AcquireRecommender(snapshot);
-  pin_span.End();
-
-  Span knn_span(trace, TraceStage::kKnnRetrieve);
-  const std::vector<ScoredItem> raw =
-      entry.recommender->RecommendNext(evolving, fetch);
-  knn_span.End();
-  ReleaseRecommender(std::move(entry));
-
-  Span rank_span(trace, TraceStage::kRank);
-  return ApplyBusinessRules(raw, catalog_, config_.rules);
+  return std::move(HandleUpdateAndRecommendBatch({request}, {trace})[0]);
 }
 
 std::vector<StatusOr<std::vector<ScoredItem>>>
@@ -245,14 +186,15 @@ SerenadeService::HandleUpdateAndRecommendBatch(
     const std::vector<Trace*>& traces) {
   std::vector<StatusOr<std::vector<ScoredItem>>> results(
       requests.size(), Status::Internal("batch slot not filled"));
-  if (requests.empty()) return results;
   auto trace_for = [&](size_t i) -> Trace* {
     return i < traces.size() ? traces[i] : nullptr;
   };
 
-  // Validate every slot first; only valid slots join the batched IO.
+  // Validate every slot first; only valid slots reach the store.
   std::vector<size_t> valid;
+  std::vector<std::string> keys;
   valid.reserve(requests.size());
+  keys.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].item == kInvalidItem) {
       results[i] = Status::InvalidArgument("missing item id");
@@ -260,89 +202,67 @@ SerenadeService::HandleUpdateAndRecommendBatch(
       results[i] = Status::InvalidArgument("missing session key");
     } else {
       valid.push_back(i);
+      keys.push_back(requests[i].session_key);
     }
   }
   if (valid.empty()) return results;
 
-  // Step 2 (Figure 1), batched: one MultiGet for the distinct session
-  // keys, the appends applied in batch order (so duplicate keys chain),
-  // one MultiPut writing each key's final state.
-  std::vector<std::string> keys;
-  std::unordered_map<std::string, size_t> key_slot;  // key -> index in keys
+  // Batch-wide stages are timed once and recorded once into each distinct
+  // trace, however many of the batch's slots share it.
+  std::vector<Trace*> batch_traces;
   for (size_t i : valid) {
-    if (key_slot.emplace(requests[i].session_key, keys.size()).second) {
-      keys.push_back(requests[i].session_key);
-    }
+    if (Trace* trace = trace_for(i)) batch_traces.push_back(trace);
   }
-  std::vector<std::string> stored;
-  std::vector<bool> found;
-  {
-    Stopwatch watch;
-    store_->MultiGet(keys, &stored, &found);
+  std::sort(batch_traces.begin(), batch_traces.end());
+  batch_traces.erase(std::unique(batch_traces.begin(), batch_traces.end()),
+                     batch_traces.end());
+  auto record_batch_stage = [&](TraceStage stage, const Stopwatch& watch) {
     const uint64_t micros = watch.ElapsedMicros();
-    for (size_t i : valid) {
-      if (Trace* trace = trace_for(i)) {
-        trace->Record(TraceStage::kStoreGet, micros);
-      }
-    }
-  }
+    for (Trace* trace : batch_traces) trace->Record(stage, micros);
+  };
 
-  std::vector<EvolvingSession> sessions(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    if (found[k]) sessions[k] = DecodeSession(stored[k]);
-  }
-  // `predict[i]` is the session as of request i's click — later clicks on
-  // the same key in this batch must not leak into it.
+  // Step 2 (Figure 1): append every click to its evolving session in one
+  // atomic machine-local read-modify-write. Duplicate keys chain in slot
+  // order, and `predict[i]` is the session as of slot i's click, so a
+  // later click on the same key never leaks into an earlier prediction.
   std::vector<EvolvingSession> predict(requests.size());
-  for (size_t i : valid) {
-    EvolvingSession& evolving = sessions[key_slot[requests[i].session_key]];
-    evolving.push_back(requests[i].item);
-    if (evolving.size() > config_.max_stored_session_length) {
-      evolving.erase(evolving.begin(),
-                     evolving.end() - static_cast<ptrdiff_t>(
-                                          config_.max_stored_session_length));
-    }
-    // Depersonalisation (Section 4.2): without consent, only the
-    // currently displayed item feeds the prediction.
-    predict[i] = requests[i].consent
-                     ? evolving
-                     : EvolvingSession{requests[i].item};
+  Stopwatch put_watch;
+  const Status put_status = store_->MultiUpdate(
+      keys, [&](size_t j, const std::string& current) {
+        const RecommendRequest& request = requests[valid[j]];
+        EvolvingSession evolving = DecodeSession(current);
+        evolving.push_back(request.item);
+        if (evolving.size() > config_.max_stored_session_length) {
+          evolving.erase(evolving.begin(),
+                         evolving.end() -
+                             static_cast<ptrdiff_t>(
+                                 config_.max_stored_session_length));
+        }
+        std::string encoded = EncodeSession(evolving);
+        // Depersonalisation (Section 4.2): without consent, only the
+        // currently displayed item feeds the prediction.
+        predict[valid[j]] = request.consent ? std::move(evolving)
+                                            : EvolvingSession{request.item};
+        return encoded;
+      });
+  record_batch_stage(TraceStage::kStorePut, put_watch);
+  if (!put_status.ok()) {
+    for (size_t i : valid) results[i] = put_status;
+    return results;
   }
 
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    entries.emplace_back(keys[k], EncodeSession(sessions[k]));
-  }
-  {
-    Stopwatch watch;
-    const Status put_status = store_->MultiPut(entries);
-    const uint64_t micros = watch.ElapsedMicros();
-    for (size_t i : valid) {
-      if (Trace* trace = trace_for(i)) {
-        trace->Record(TraceStage::kStorePut, micros);
-      }
-    }
-    if (!put_status.ok()) {
-      for (size_t i : valid) results[i] = put_status;
-      return results;
-    }
-  }
-
-  // Step 3, batched: one snapshot pin per retrieval family and one pooled
-  // recommender serve every item — the scoring loop itself is the only
-  // per-item work left. Slots resolve their engine independently, so one
-  // batch can mix A/B arms.
+  // Step 3: one snapshot pin per retrieval family the batch uses and one
+  // pooled recommender serve every slot. Slots resolve their engine
+  // independently, so one batch can mix A/B arms. The pins outlive the
+  // scoring pass, so a concurrent hot swap never frees an index under us.
   std::vector<EngineKind> resolved(requests.size(), EngineKind::kVmis);
   bool any_ann = false;
   for (size_t i : valid) {
     resolved[i] = ResolveEngine(requests[i].engine);
     any_ann |= resolved[i] == EngineKind::kAnn;
   }
-
   Stopwatch pin_watch;
-  const std::shared_ptr<const IndexSnapshot> snapshot = manager_->Current();
-  PooledRecommender entry = AcquireRecommender(snapshot);
+  PooledRecommender entry = AcquireRecommender(manager_->Current());
   std::shared_ptr<const EmbeddingSnapshot> embedding_snapshot;
   std::unique_ptr<AnnRecommender> ann;
   if (any_ann) {
@@ -351,13 +271,11 @@ SerenadeService::HandleUpdateAndRecommendBatch(
                                            &embedding_snapshot->ann(),
                                            config_.ann);
   }
-  const uint64_t pin_micros = pin_watch.ElapsedMicros();
-  for (size_t i : valid) {
-    if (Trace* trace = trace_for(i)) {
-      trace->Record(TraceStage::kSnapshotPin, pin_micros);
-    }
-  }
+  record_batch_stage(TraceStage::kSnapshotPin, pin_watch);
 
+  // Fetch more than the UI needs so the business-rule filters have spare
+  // candidates.
+  const size_t fetch = config_.rules.max_items * 2 + 8;
   for (size_t i : valid) {
     Trace* trace = trace_for(i);
     Span knn_span(trace, TraceStage::kKnnRetrieve);
@@ -365,8 +283,7 @@ SerenadeService::HandleUpdateAndRecommendBatch(
         resolved[i] == EngineKind::kAnn
             ? static_cast<Recommender&>(*ann)
             : static_cast<Recommender&>(*entry.recommender);
-    const std::vector<ScoredItem> raw =
-        engine.RecommendNext(predict[i], config_.rules.max_items * 2 + 8);
+    const std::vector<ScoredItem> raw = engine.RecommendNext(predict[i], fetch);
     knn_span.End();
     Span rank_span(trace, TraceStage::kRank);
     results[i] = ApplyBusinessRules(raw, catalog_, config_.rules);

@@ -3,9 +3,12 @@
 // VMIS-kNN against the replicated session index, and applies business
 // rules — steps 2 and 3 of Figure 1.
 //
+// One request path: a single request is a batch of one, and a batch is
+// one atomic SessionStore::MultiUpdate, one index pin, and a scoring pass.
+//
 // Index consumption is snapshot-based (see index/snapshot.h): every
 // request pins the currently published IndexSnapshot, and the per-thread
-// recommender scratch pool is version-tagged so a hot swap lazily rebuilds
+// recommender scratch pool is version-tagged so a hot swap rebuilds
 // scratch state against the new index — a stale pooled recommender can
 // never score against a freed index, and an old snapshot retires only
 // when the last in-flight request (or pooled recommender) releases it.
@@ -94,20 +97,18 @@ class SerenadeService {
   /// write), predicts the next items (machine-local reads only) and
   /// applies the business rules. Returns at most rules.max_items items.
   /// A non-null `trace` receives store_put / snapshot_pin / knn_retrieve
-  /// / rank stage spans.
+  /// / rank stage spans. A batch of one.
   StatusOr<std::vector<ScoredItem>> HandleUpdateAndRecommend(
       const RecommendRequest& request, Trace* trace = nullptr);
 
-  /// Micro-batched variant (the BatchExecutor fast path): amortises the
-  /// per-request fixed costs across `requests` by doing one store
-  /// MultiGet, one MultiPut, one snapshot pin, and one recommender-pool
-  /// checkout for the whole batch, then scoring each item. Per-item
-  /// failures (validation, a failed WAL write) surface in that slot only
-  /// — one bad request never fails its batch siblings. Duplicate session
-  /// keys are applied in batch order, so results match sequential calls.
-  /// `traces` may be empty (all untraced) or requests.size() entries
-  /// (null allowed); batch-wide stages (store_get/store_put/snapshot_pin)
-  /// record their full duration into every traced slot.
+  /// The update-and-recommend path: one atomic store MultiUpdate, one
+  /// snapshot pin, and one recommender-pool checkout for the batch, then
+  /// each slot is scored. A slot failing validation never fails its
+  /// siblings; a failed store write fails every valid slot and changes no
+  /// session. Duplicate session keys apply in batch order, so results
+  /// match sequential calls. `traces` may be empty or requests.size()
+  /// entries (null allowed, shared allowed); the batch-wide stages
+  /// (store_put, snapshot_pin) record once into each distinct trace.
   std::vector<StatusOr<std::vector<ScoredItem>>>
   HandleUpdateAndRecommendBatch(const std::vector<RecommendRequest>& requests,
                                 const std::vector<Trace*>& traces = {});
@@ -154,7 +155,7 @@ class SerenadeService {
   /// Layers a streaming freshness delta over the pinned base snapshot
   /// (IndexManager::ApplyDelta) with the same publication discipline as a
   /// full swap: in-flight requests finish on their pinned snapshot, the
-  /// pool drops entries built against retired overlay versions.
+  /// pool is refilled at the new overlay version.
   /// kAlreadyExists (idempotent re-delivery) leaves everything untouched.
   Status ApplyDelta(const IndexDelta& delta,
                     IndexManager::DeltaApplyInfo* info = nullptr);
@@ -174,6 +175,11 @@ class SerenadeService {
 
   /// Idle pooled recommenders (diagnostics / stats).
   size_t PooledRecommenders() const;
+
+  /// Fills the pool with min(count, max_pooled_recommenders) recommenders
+  /// for the current snapshot (one per calling thread); index reloads and
+  /// deltas refill it to the same count.
+  void Prewarm(size_t count);
 
   /// Evicts expired sessions (called by a background janitor thread in
   /// the server wrapper).
@@ -198,10 +204,6 @@ class SerenadeService {
       const std::shared_ptr<const IndexSnapshot>& snapshot);
   void ReleaseRecommender(PooledRecommender entry);
 
-  // Drops pooled entries built against snapshots older than `version` so
-  // a retired index is not kept alive by an idle pool.
-  void PruneStaleRecommenders(uint64_t version);
-
   // Resolves kDefault/kVmis -> kVmis, kAnn -> kAnn when an embedding
   // snapshot is attached else kVmis; maintains the ann request/fallback
   // counters.
@@ -217,6 +219,8 @@ class SerenadeService {
 
   mutable std::mutex pool_mutex_;
   std::vector<PooledRecommender> recommender_pool_;
+  // The last Prewarm count; reloads refill the pool to it.
+  std::atomic<size_t> prewarm_count_{0};
 };
 
 /// Encodes an evolving session as a comma-separated item id string (the

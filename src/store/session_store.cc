@@ -1,5 +1,6 @@
 #include "store/session_store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -85,25 +86,66 @@ bool SessionStore::IsExpired(const Entry& entry, uint64_t now) const {
          now - entry.last_access > options_.ttl_seconds;
 }
 
-Status SessionStore::LogWrite(WalRecordType type, const std::string& key,
-                              const std::string& value, uint64_t now) {
+Status SessionStore::AppendToWal(const std::vector<WalRecord>& records) {
   if (options_.wal_path.empty()) return Status::Ok();
   std::lock_guard<std::mutex> lock(wal_mutex_);
-  WalRecord record{type, key, value, now};
-  SERENADE_RETURN_IF_ERROR(wal_.Append(record));
+  for (const WalRecord& record : records) {
+    SERENADE_RETURN_IF_ERROR(wal_.Append(record));
+  }
   if (options_.sync_every_write) return wal_.Sync();
   return Status::Ok();
 }
 
-Status SessionStore::Put(const std::string& key, const std::string& value) {
-  const uint64_t now = options_.clock();
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table[key] = Entry{value, now};
+Status SessionStore::LockedWrite(const std::vector<std::string>& keys,
+                                 const MultiMutator& mutator,
+                                 uint64_t stamp) {
+  std::vector<size_t> shard_of(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    shard_of[i] = Fnv1a(keys[i]) % shards_.size();
   }
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  return LogWrite(WalRecordType::kPut, key, value, now);
+  std::vector<size_t> order = shard_of;
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(order.size());
+  for (size_t s : order) locks.emplace_back(shards_[s].mutex);
+
+  // Stage each new value in its WAL record; a repeated key chains on the
+  // value its latest earlier occurrence staged.
+  static const std::string kAbsent;
+  std::vector<WalRecord> records;
+  records.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string* current = &kAbsent;
+    const auto& table = shards_[shard_of[i]].table;
+    auto earlier = std::find_if(
+        records.rbegin(), records.rend(),
+        [&](const WalRecord& record) { return record.key == keys[i]; });
+    if (earlier != records.rend()) {
+      current = &earlier->value;
+    } else if (auto it = table.find(keys[i]);
+               it != table.end() && !IsExpired(it->second, stamp)) {
+      current = &it->second.value;
+    }
+    records.push_back(
+        WalRecord{WalRecordType::kPut, keys[i], mutator(i, *current), stamp});
+  }
+
+  // Durable first, visible second: a failed append leaves the tables as
+  // they were, and nothing can reach the WAL between the two steps.
+  SERENADE_RETURN_IF_ERROR(AppendToWal(records));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    shards_[shard_of[i]].table[keys[i]] =
+        Entry{std::move(records[i].value), stamp};
+  }
+  writes_.fetch_add(keys.size(), std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+Status SessionStore::Put(const std::string& key, const std::string& value) {
+  return LockedWrite(
+      {key}, [&value](size_t, const std::string&) { return value; },
+      options_.clock());
 }
 
 StatusOr<std::string> SessionStore::Get(const std::string& key,
@@ -131,12 +173,12 @@ StatusOr<std::string> SessionStore::Get(const std::string& key,
 Status SessionStore::Delete(const std::string& key) {
   const uint64_t now = options_.clock();
   Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table.erase(key);
-  }
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  SERENADE_RETURN_IF_ERROR(
+      AppendToWal({WalRecord{WalRecordType::kDelete, key, "", now}}));
+  shard.table.erase(key);
   deletes_.fetch_add(1, std::memory_order_relaxed);
-  return LogWrite(WalRecordType::kDelete, key, "", now);
+  return Status::Ok();
 }
 
 Status SessionStore::Update(
@@ -144,18 +186,17 @@ Status SessionStore::Update(
     const std::function<std::string(const std::string&)>& mutator,
     Trace* trace) {
   Span span(trace, TraceStage::kStorePut);
-  const uint64_t now = options_.clock();
-  std::string new_value;
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.table.find(key);
-    const bool live = it != shard.table.end() && !IsExpired(it->second, now);
-    new_value = mutator(live ? it->second.value : std::string());
-    shard.table[key] = Entry{new_value, now};
-  }
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  return LogWrite(WalRecordType::kPut, key, new_value, now);
+  return LockedWrite(
+      {key},
+      [&mutator](size_t, const std::string& current) {
+        return mutator(current);
+      },
+      options_.clock());
+}
+
+Status SessionStore::MultiUpdate(const std::vector<std::string>& keys,
+                                 const MultiMutator& mutator) {
+  return LockedWrite(keys, mutator, options_.clock());
 }
 
 void SessionStore::MultiGet(const std::vector<std::string>& keys,
@@ -203,37 +244,18 @@ Status SessionStore::MultiPut(
     const std::vector<std::pair<std::string, std::string>>& entries,
     Trace* trace) {
   Span span(trace, TraceStage::kStorePut);
-  // Fails before any shard mutates, so a rejected batch is all-or-nothing
-  // from the caller's view: no ack, no visible writes.
+  // Fails before any shard is locked, so a rejected batch is
+  // all-or-nothing from the caller's view: no ack, no visible writes.
   SERENADE_FAULT_POINT(FaultSite::kStoreMultiPut, {
     return Status::IoError("injected: batched write rejected");
   });
-  const uint64_t now = options_.clock();
-
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    by_shard[Fnv1a(entries[i].first) % shards_.size()].push_back(i);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Positions are in batch order, so a later duplicate key overwrites
-    // an earlier one exactly as sequential Puts would.
-    for (size_t i : by_shard[s]) {
-      shard.table[entries[i].first] = Entry{entries[i].second, now};
-    }
-  }
-  writes_.fetch_add(entries.size(), std::memory_order_relaxed);
-
-  if (options_.wal_path.empty() || entries.empty()) return Status::Ok();
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  for (const auto& [key, value] : entries) {
-    SERENADE_RETURN_IF_ERROR(
-        wal_.Append(WalRecord{WalRecordType::kPut, key, value, now}));
-  }
-  if (options_.sync_every_write) return wal_.Sync();
-  return Status::Ok();
+  std::vector<std::string> keys;
+  keys.reserve(entries.size());
+  for (const auto& entry : entries) keys.push_back(entry.first);
+  return LockedWrite(
+      keys,
+      [&entries](size_t i, const std::string&) { return entries[i].second; },
+      options_.clock());
 }
 
 std::vector<SessionStore::RestoreEntry> SessionStore::DumpEntries() const {
@@ -269,14 +291,10 @@ StatusOr<size_t> SessionStore::Restore(
     if (IsExpired(Entry{incoming.value, incoming.last_access}, now)) {
       continue;  // never resurrect a session past its TTL
     }
-    Shard& shard = ShardFor(incoming.key);
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.table[incoming.key] = Entry{incoming.value, incoming.last_access};
-    }
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    SERENADE_RETURN_IF_ERROR(LogWrite(WalRecordType::kPut, incoming.key,
-                                      incoming.value, incoming.last_access));
+    SERENADE_RETURN_IF_ERROR(LockedWrite(
+        {incoming.key},
+        [&incoming](size_t, const std::string&) { return incoming.value; },
+        incoming.last_access));
     ++applied;
   }
   return applied;
@@ -305,11 +323,14 @@ size_t SessionStore::SweepExpired() {
 Status SessionStore::Compact() {
   if (options_.wal_path.empty()) return Status::Ok();
   const uint64_t now = options_.clock();
+  // The write path's lock order: every shard, in index order, then the WAL.
+  std::vector<std::unique_lock<std::mutex>> shard_locks;
+  shard_locks.reserve(shards_.size());
+  for (Shard& shard : shards_) shard_locks.emplace_back(shard.mutex);
   std::lock_guard<std::mutex> wal_lock(wal_mutex_);
   SERENADE_RETURN_IF_ERROR(wal_.Open(options_.wal_path + ".tmp",
                                      /*truncate=*/true));
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
+  for (const Shard& shard : shards_) {
     for (const auto& [key, entry] : shard.table) {
       if (IsExpired(entry, now)) continue;
       SERENADE_RETURN_IF_ERROR(wal_.Append(

@@ -9,6 +9,11 @@
 // write-ahead log for durability with crash recovery, lazy TTL expiry on
 // read plus an explicit sweep for background eviction, and a compaction
 // that rewrites the log with only the live entries.
+//
+// Every upsert runs one locked write routine: shard locks in ascending
+// shard order, WAL append under them, tables updated only after the
+// append succeeded. A failed write changes nothing, and per key the WAL
+// order is the memory order. Lock order: shard -> WAL, everywhere.
 #pragma once
 
 #include <atomic>
@@ -82,15 +87,26 @@ class SessionStore {
   Status Delete(const std::string& key);
 
   /// Read-modify-write under the shard lock: the mutator receives the
-  /// current value ("" if absent) and returns the new value. Used by the
-  /// serving layer to append a click to the evolving session atomically.
-  /// A non-null `trace` records the whole operation (including the WAL
-  /// append) as a store_put span.
+  /// current value ("" if absent) and returns the new value. A non-null
+  /// `trace` records the whole operation (including the WAL append) as a
+  /// store_put span.
   Status Update(const std::string& key,
                 const std::function<std::string(const std::string&)>& mutator,
                 Trace* trace = nullptr);
 
-  /// Batched point reads for the micro-batch executor: fills
+  /// Computes the new value of keys[index] from its current one.
+  using MultiMutator =
+      std::function<std::string(size_t index, const std::string& current)>;
+
+  /// Atomic read-modify-write of several keys (how the serving layer
+  /// appends a batch of clicks): runs `mutator` over the keys in argument
+  /// order under all their shard locks. A repeated key gets the value its
+  /// earlier occurrence produced, as with sequential Updates. A failed
+  /// WAL append changes no key.
+  Status MultiUpdate(const std::vector<std::string>& keys,
+                     const MultiMutator& mutator);
+
+  /// Batched point reads: fills
   /// `(*values)[i]` / `(*found)[i]` for `keys[i]`, grouping keys by shard
   /// so each shard lock is taken once per batch instead of once per key.
   /// Found entries get their TTL refreshed exactly like Get(); missing or
@@ -168,8 +184,12 @@ class SessionStore {
 
   Shard& ShardFor(const std::string& key);
   bool IsExpired(const Entry& entry, uint64_t now) const;
-  Status LogWrite(WalRecordType type, const std::string& key,
-                  const std::string& value, uint64_t now);
+  // Callers hold the shard locks of every key in `records`.
+  Status AppendToWal(const std::vector<WalRecord>& records);
+  // The write routine behind every upsert; `stamp` is both the liveness
+  // time for current values and the written entries' last access.
+  Status LockedWrite(const std::vector<std::string>& keys,
+                     const MultiMutator& mutator, uint64_t stamp);
 
   SessionStoreOptions options_;
   std::vector<Shard> shards_;

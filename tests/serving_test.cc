@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <set>
@@ -5,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "index/snapshot.h"
 #include "serving/business_rules.h"
 #include "serving/json.h"
 #include "serving/router.h"
 #include "serving/server.h"
 #include "serving/service.h"
 #include "data/synthetic.h"
+#include "testing/fault_injection.h"
 
 namespace serenade {
 namespace {
@@ -375,6 +379,224 @@ TEST_F(ServiceTest, MetricsEndpointExposesPrometheusFormat) {
         << metrics->body;
   }
   server.Stop();
+}
+
+TEST_F(ServiceTest, BatchRecordsEveryStageOncePerRequest) {
+  ServiceConfig config;
+  config.knn.m = 500;
+  config.knn.k = 100;
+  auto service = SerenadeService::Create(index_, catalog_, config);
+  ASSERT_TRUE(service.ok());
+  SerenadeServer server(std::move(service).value(), ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  auto batch = client.Post(
+      "/v1/recommend:batch",
+      "{\"requests\":[{\"session_id\":\"sb\",\"item_id\":3},"
+      "{\"session_id\":\"sc\",\"item_id\":4},"
+      "{\"session_id\":\"sb\",\"item_id\":5}]}");
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->status, 200) << batch->body;
+  auto metrics = client.Get("/v1/metrics");
+  ASSERT_TRUE(metrics.ok());
+  // One request, one sample per stage — the batch's stages land in its
+  // request trace exactly like a single request's do.
+  for (const char* stage :
+       {"parse", "store_put", "snapshot_pin", "knn_retrieve", "rank",
+        "serialize"}) {
+    EXPECT_NE(
+        metrics->body.find("serenade_stage_duration_microseconds_count{stage"
+                           "=\"" +
+                           std::string(stage) + "\"} 1"),
+        std::string::npos)
+        << "missing stage " << stage << " in:\n"
+        << metrics->body;
+  }
+  server.Stop();
+}
+
+TEST_F(ServiceTest, BatchWideStagesRecordOncePerDistinctTrace) {
+  const std::vector<RecommendRequest> requests = {
+      {"tr-a", 3, true}, {"tr-b", 4, true}, {"tr-a", 5, true}};
+  Trace shared;
+  auto results = service_->HandleUpdateAndRecommendBatch(
+      requests, {&shared, &shared, &shared});
+  for (const auto& result : results) ASSERT_TRUE(result.ok());
+  EXPECT_EQ(shared.StageCount(TraceStage::kStorePut), 1u);
+  EXPECT_EQ(shared.StageCount(TraceStage::kSnapshotPin), 1u);
+  EXPECT_EQ(shared.StageCount(TraceStage::kStoreGet), 0u);
+  EXPECT_EQ(shared.StageCount(TraceStage::kKnnRetrieve), 3u);
+  EXPECT_EQ(shared.StageCount(TraceStage::kRank), 3u);
+
+  Trace first, second;
+  results = service_->HandleUpdateAndRecommendBatch(
+      requests, {&first, nullptr, &second});
+  for (const auto& result : results) ASSERT_TRUE(result.ok());
+  for (const Trace* trace : {&first, &second}) {
+    EXPECT_EQ(trace->StageCount(TraceStage::kStorePut), 1u);
+    EXPECT_EQ(trace->StageCount(TraceStage::kSnapshotPin), 1u);
+    EXPECT_EQ(trace->StageCount(TraceStage::kKnnRetrieve), 1u);
+    EXPECT_EQ(trace->StageCount(TraceStage::kRank), 1u);
+  }
+}
+
+// Seeded interleavings of single requests, batches of one and batches
+// with duplicate keys, all on a few shared sessions. Every acknowledged
+// click must be in its session exactly once, and each thread's clicks
+// must keep the order that thread sent them in.
+TEST_F(ServiceTest, ConcurrentSingleAndBatchAppendsLoseNoClick) {
+  constexpr size_t kRounds = 24;
+  constexpr size_t kKeys = 2;
+  constexpr size_t kClicksPerThread = 20;
+  Rng rng(20261017);
+  for (size_t round = 0; round < kRounds; ++round) {
+    const size_t num_threads = 2 + round % 3;
+    auto key_of = [&](size_t k) {
+      return "race-" + std::to_string(round) + "-" + std::to_string(k);
+    };
+    // acked[t][k]: thread t's acknowledged clicks on key k, in send order.
+    std::vector<std::vector<std::vector<ItemId>>> acked(
+        num_threads, std::vector<std::vector<ItemId>>(kKeys));
+    std::vector<uint64_t> seeds(num_threads);
+    for (uint64_t& seed : seeds) seed = rng.Next();
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < num_threads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng local(seeds[t]);
+        ready.fetch_add(1);
+        while (ready.load() < num_threads) std::this_thread::yield();
+        ItemId next = static_cast<ItemId>(1 + t * 70);
+        size_t sent = 0;
+        while (sent < kClicksPerThread) {
+          const size_t kind = local.Below(3);
+          std::vector<RecommendRequest> requests;
+          if (kind == 2 && sent + 3 <= kClicksPerThread) {
+            // Duplicate key inside one batch: slots 0 and 2 chain.
+            const size_t a = local.Below(kKeys);
+            requests = {{key_of(a), next, true},
+                        {key_of(1 - a), static_cast<ItemId>(next + 1), true},
+                        {key_of(a), static_cast<ItemId>(next + 2), true}};
+          } else {
+            requests = {{key_of(local.Below(kKeys)), next, true}};
+          }
+          std::vector<StatusOr<std::vector<ScoredItem>>> results;
+          if (kind == 0) {
+            results.push_back(
+                service_->HandleUpdateAndRecommend(requests.front()));
+          } else {
+            results = service_->HandleUpdateAndRecommendBatch(requests);
+          }
+          for (size_t i = 0; i < requests.size(); ++i) {
+            if (!results[i].ok()) continue;
+            const size_t k = requests[i].session_key == key_of(0) ? 0 : 1;
+            acked[t][k].push_back(requests[i].item);
+          }
+          next = static_cast<ItemId>(next + requests.size());
+          sent += requests.size();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    for (size_t k = 0; k < kKeys; ++k) {
+      auto session = service_->GetSession(key_of(k));
+      std::vector<ItemId> stored;
+      if (session.ok()) stored = *session;
+      std::vector<ItemId> expected;
+      for (size_t t = 0; t < num_threads; ++t) {
+        // The thread's clicks, filtered out of the shared session, in
+        // the order they landed.
+        std::vector<ItemId> landed;
+        for (ItemId item : stored) {
+          if ((item - 1) / 70 == t) landed.push_back(item);
+        }
+        EXPECT_EQ(landed, acked[t][k])
+            << "round " << round << " key " << k << " thread " << t;
+        expected.insert(expected.end(), acked[t][k].begin(),
+                        acked[t][k].end());
+      }
+      std::sort(expected.begin(), expected.end());
+      std::sort(stored.begin(), stored.end());
+      ASSERT_EQ(stored, expected) << "round " << round << " key " << k;
+    }
+  }
+}
+
+TEST_F(ServiceTest, FailedWalAppendFailsTheRequestAndKeepsTheSession) {
+  const std::string wal = testing::TempDir() + "/service-append-fail.wal";
+  std::filesystem::remove(wal);
+  ServiceConfig config;
+  config.knn.m = 500;
+  config.knn.k = 100;
+  config.store.wal_path = wal;
+  auto service = SerenadeService::Create(index_, catalog_, config);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->HandleUpdateAndRecommend({"durable", 5, true}).ok());
+
+  {
+    ScopedFaultInjector injector(17);
+    injector->Arm(FaultSite::kWalAppendFail, FaultRule{1.0, 1, 0});
+    auto failed = (*service)->HandleUpdateAndRecommend({"durable", 6, true});
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(injector->fires(FaultSite::kWalAppendFail), 1u);
+  }
+  // Not acknowledged, so not applied: the session is as before.
+  EXPECT_EQ(*(*service)->GetSession("durable"), (EvolvingSession{5}));
+  ASSERT_TRUE((*service)->HandleUpdateAndRecommend({"durable", 7, true}).ok());
+  EXPECT_EQ(*(*service)->GetSession("durable"), (EvolvingSession{5, 7}));
+  service->reset();
+  std::filesystem::remove(wal);
+}
+
+TEST_F(ServiceTest, StartPrewarmsOneRecommenderPerCallingThread) {
+  const std::string path_v1 = testing::TempDir() + "/prewarm-v1.index";
+  const std::string path_v2 = testing::TempDir() + "/prewarm-v2.index";
+  IndexManifest manifest;
+  manifest.version = 1;
+  ASSERT_TRUE(WriteIndexWithManifest(path_v1, *index_, manifest).ok());
+  manifest.version = 2;
+  ASSERT_TRUE(WriteIndexWithManifest(path_v2, *index_, manifest).ok());
+  ServiceConfig config;
+  config.knn.m = 500;
+  config.knn.k = 100;
+
+  // Pass-through: the HTTP handler threads call into the service.
+  auto manager = IndexManager::CreateFromFile(path_v1);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  auto service = SerenadeService::Create(std::move(manager).value(),
+                                         catalog_, config);
+  ASSERT_TRUE(service.ok());
+  ServerConfig passthrough;
+  passthrough.http.worker_threads = 3;
+  SerenadeServer server(std::move(service).value(), passthrough);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.service().PooledRecommenders(), 3u);
+  // A reload refills the pool to the same count at the new version.
+  ASSERT_TRUE(server.service().ReloadIndex(path_v2).ok());
+  EXPECT_EQ(server.service().CurrentSnapshot()->version(), 2u);
+  EXPECT_EQ(server.service().PooledRecommenders(), 3u);
+  server.Stop();
+
+  // Batching: only the executor's workers call into the service.
+  manager = IndexManager::CreateFromFile(path_v1);
+  ASSERT_TRUE(manager.ok());
+  service = SerenadeService::Create(std::move(manager).value(), catalog_,
+                                    config);
+  ASSERT_TRUE(service.ok());
+  ServerConfig batching = passthrough;
+  batching.batch.max_batch_size = 4;
+  batching.batch.num_workers = 2;
+  SerenadeServer batched(std::move(service).value(), batching);
+  ASSERT_TRUE(batched.Start().ok());
+  EXPECT_EQ(batched.service().PooledRecommenders(), 2u);
+  batched.Stop();
+  for (const std::string& path : {path_v1, path_v2}) {
+    std::filesystem::remove(path);
+    std::filesystem::remove(ManifestPathFor(path));
+  }
 }
 
 TEST_F(ServiceTest, RecommendEchoesTraceId) {

@@ -1,5 +1,6 @@
 #include "store/session_store.h"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -309,6 +310,151 @@ TEST(SessionStoreTest, ConcurrentUpdatesAreAtomic) {
   auto value = (*store)->Get("counter");
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(std::stoi(*value), kThreads * kIncrements);
+}
+
+TEST(SessionStoreTest, MultiUpdateChainsDuplicateKeysInArgumentOrder) {
+  ManualClock clock;
+  auto store = SessionStore::Open(VolatileOptions(clock));
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Put("a", "0").ok());
+  const std::vector<std::string> keys = {"a", "b", "a", "a"};
+  std::vector<std::string> seen;
+  ASSERT_TRUE((*store)
+                  ->MultiUpdate(keys,
+                                [&](size_t i, const std::string& current) {
+                                  seen.push_back(current);
+                                  return current + std::to_string(i);
+                                })
+                  .ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{"0", "", "00", "002"}));
+  EXPECT_EQ(*(*store)->Get("a"), "0023");
+  EXPECT_EQ(*(*store)->Get("b"), "1");
+  EXPECT_EQ((*store)->Stats().writes, 5u);
+}
+
+TEST(SessionStoreTest, FailedWalAppendLeavesMemoryUntouched) {
+  const std::string path = TempPath("append-fail-memory.wal");
+  ManualClock clock;
+  SessionStoreOptions options = VolatileOptions(clock);
+  options.wal_path = path;
+  auto store = SessionStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Put("a", "1").ok());
+
+  ScopedFaultInjector injector(41);
+  injector->Arm(FaultSite::kWalAppendFail, FaultRule{1.0, 3, 0});
+  auto append = [](const std::string& current) { return current + "x"; };
+  EXPECT_EQ((*store)->Update("a", append).code(), StatusCode::kIoError);
+  EXPECT_EQ((*store)->Put("b", "2").code(), StatusCode::kIoError);
+  EXPECT_EQ((*store)
+                ->MultiUpdate({"a", "c"},
+                              [&](size_t, const std::string& current) {
+                                return append(current);
+                              })
+                .code(),
+            StatusCode::kIoError);
+  // Nothing was acknowledged, so nothing is visible.
+  EXPECT_EQ(*(*store)->Get("a"), "1");
+  EXPECT_EQ((*store)->Get("b").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*store)->Get("c").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*store)->Stats().writes, 1u);
+}
+
+// Two threads race Updates on one key; the WAL must end with the value
+// memory ended with. Each round uses a fresh key, and one reopen at the
+// end replays every round's key.
+TEST(SessionStoreTest, ConcurrentUpdatesReachTheWalInMemoryOrder) {
+  const std::string path = TempPath("update-order.wal");
+  ManualClock clock;
+  SessionStoreOptions options = VolatileOptions(clock);
+  options.wal_path = path;
+  constexpr int kRounds = 1000, kThreads = 2, kUpdates = 40;
+  std::vector<std::string> acknowledged(kRounds);
+  {
+    auto store = SessionStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string key = "order-" + std::to_string(round);
+      std::atomic<int> ready{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+          ready.fetch_add(1);
+          while (ready.load() < kThreads) std::this_thread::yield();
+          for (int i = 0; i < kUpdates; ++i) {
+            (void)(*store)->Update(key, [](const std::string& current) {
+              const int value = current.empty() ? 0 : std::stoi(current);
+              return std::to_string(value + 1);
+            });
+          }
+        });
+      }
+      for (auto& thread : threads) thread.join();
+      acknowledged[round] = *(*store)->Get(key);
+    }
+  }
+  auto reopened = SessionStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  int diverged = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto recovered = (*reopened)->Get("order-" + std::to_string(round));
+    if (!recovered.ok() || *recovered != acknowledged[round]) ++diverged;
+  }
+  EXPECT_EQ(diverged, 0) << "of " << kRounds << " rounds";
+  std::filesystem::remove(path);
+}
+
+// Compact takes every shard lock before the WAL lock, the write path's
+// order; batched writes across shards racing it must neither deadlock
+// nor lose a write from the rewritten log.
+TEST(SessionStoreTest, CompactionRacingMultiUpdatesKeepsEveryWrite) {
+  const std::string path = TempPath("compact-race.wal");
+  ManualClock clock;
+  SessionStoreOptions options = VolatileOptions(clock);
+  options.wal_path = path;
+  options.num_shards = 4;
+  std::vector<std::string> live;
+  {
+    auto store = SessionStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    std::atomic<bool> done{false};
+    std::thread compactor([&] {
+      while (!done.load()) ASSERT_TRUE((*store)->Compact().ok());
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 3; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < 300; ++i) {
+          const std::vector<std::string> keys = {
+              "w" + std::to_string(t) + "-" + std::to_string(i % 7),
+              "shared-" + std::to_string(i % 5),
+              "w" + std::to_string(t) + "-" + std::to_string(i % 3)};
+          ASSERT_TRUE((*store)
+                          ->MultiUpdate(keys,
+                                        [](size_t, const std::string& value) {
+                                          return value + ".";
+                                        })
+                          .ok());
+        }
+      });
+    }
+    for (auto& writer : writers) writer.join();
+    done.store(true);
+    compactor.join();
+    for (const auto& entry : (*store)->DumpEntries()) {
+      live.push_back(entry.key + "=" + entry.value);
+    }
+  }
+  auto reopened = SessionStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::vector<std::string> recovered;
+  for (const auto& entry : (*reopened)->DumpEntries()) {
+    recovered.push_back(entry.key + "=" + entry.value);
+  }
+  std::sort(live.begin(), live.end());
+  std::sort(recovered.begin(), recovered.end());
+  EXPECT_EQ(recovered, live);
+  std::filesystem::remove(path);
 }
 
 TEST(SessionStoreTest, ConcurrentMixedOpsWithSweeperDoNotRace) {

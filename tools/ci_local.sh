@@ -3,9 +3,11 @@
 # Actions — the pre-push answer to "will CI be green?".
 #
 #   tools/ci_local.sh           # full matrix: Debug+Release, ASan+TSan,
-#                               # bench smoke, format check
+#                               # bench smoke, servebench smoke,
+#                               # format check
 #   tools/ci_local.sh --quick   # PR-sized subset: Release only, ASan on
-#                               # the obs/gateway/swap tests, bench smoke
+#                               # the obs/gateway/swap tests, bench smoke,
+#                               # servebench smoke
 #
 # Each stage reports PASS/FAIL and the script exits non-zero if any
 # stage failed, so it is scriptable. ccache is used when present.
@@ -81,6 +83,19 @@ bench_smoke() {
     echo "bench results in $dir/bench-results/"
 }
 
+servebench_smoke() {
+  # Mirrors the CI servebench-smoke job: a short traced run of each gated
+  # workload, asserting only "correct": true on the result line.
+  local workload out
+  for workload in fleet_single pod_direct_hot; do
+    out="$(python3 servebench/run.py --workload "$workload" --seed 1 \
+      --seconds 4 --trace 1 --build-type Release)" || return 1
+    tail -n 1 <<< "$out" | python3 -c \
+      'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' ||
+      return 1
+  done
+}
+
 sanitized() {
   tools/run_sanitized_tests.sh "$@"
 }
@@ -106,6 +121,7 @@ else
   run_stage "fuzz smoke (30s)" fuzz_smoke build-ci-release 30
   run_stage "bench smoke" bench_smoke build-ci-release
 fi
+run_stage "servebench smoke" servebench_smoke
 run_stage "format check" tools/check_format.sh
 
 echo ""
