@@ -1,18 +1,19 @@
 // Serving demo: the full Figure 1 pipeline in one process. Builds the
 // index offline (parallel builder + binary index file), starts two
-// stateful recommendation servers, routes requests with sticky sessions,
-// and talks to them over HTTP exactly like the shop frontend would.
+// stateful recommendation servers, routes requests with sticky sessions
+// on a consistent-hash ring, and talks to them over HTTP exactly like the
+// shop frontend would.
 //
 //   $ ./serving_demo
 #include <cstdio>
 #include <memory>
 
+#include "cluster/hash_ring.h"
 #include "data/synthetic.h"
 #include "index/index_builder.h"
 #include "index/index_format.h"
 #include "serving/http.h"
 #include "serving/json.h"
-#include "serving/router.h"
 #include "serving/server.h"
 
 using namespace serenade;
@@ -53,7 +54,7 @@ int main() {
   service_config.knn.k = 100;
 
   std::vector<std::unique_ptr<SerenadeServer>> servers;
-  std::vector<uint16_t> ports;
+  HashRing ring;  // one node per pod, named by its port
   for (int pod = 0; pod < 2; ++pod) {
     auto service = SerenadeService::Create(index, catalog, service_config);
     if (!service.ok()) {
@@ -67,20 +68,20 @@ int main() {
       std::fprintf(stderr, "start: %s\n", status.ToString().c_str());
       return 1;
     }
-    ports.push_back(servers.back()->port());
+    ring.AddNode(std::to_string(servers.back()->port()));
     std::printf("serving pod %d listening on 127.0.0.1:%u\n", pod,
                 servers.back()->port());
   }
 
   // --- the shop frontend: sticky-session routed requests ---
-  StickySessionRouter router(ports.size());
   for (const std::string visitor : {"alice", "bob"}) {
-    const size_t pod = router.ServerFor(visitor);
+    const auto port =
+        static_cast<uint16_t>(std::stoul(ring.NodeFor(visitor)));
     HttpClient client;
-    if (!client.Connect(ports[pod]).ok()) return 1;
-    std::printf("\nvisitor %s -> pod %zu\n", visitor.c_str(), pod);
+    if (!client.Connect(port).ok()) return 1;
+    std::printf("\nvisitor %s -> pod on port %u\n", visitor.c_str(), port);
     for (ItemId item : {100u, 101u, 350u}) {
-      auto response = client.Get("/recommend?session_id=" + visitor +
+      auto response = client.Get("/v1/recommend?session_id=" + visitor +
                                  "&item_id=" + std::to_string(item));
       if (!response.ok() || response->status != 200) {
         std::fprintf(stderr, "request failed\n");

@@ -5,12 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <thread>
 
+#include "cluster/hash_ring.h"
 #include "common/stopwatch.h"
 #include "serving/http.h"
-#include "serving/router.h"
 
 namespace serenade {
 
@@ -60,7 +61,15 @@ LoadResult RunLoad(const std::vector<LoadEvent>& events,
   result.bucket_seconds = options.bucket_seconds;
   if (events.empty() || server_ports.empty()) return result;
 
-  const StickySessionRouter router(server_ports.size());
+  // Sessions are placed the way the gateway places them: one ring node
+  // per server, named as the gateway names an attached backend.
+  HashRing ring;
+  std::map<std::string, size_t> server_of_node;
+  for (size_t s = 0; s < server_ports.size(); ++s) {
+    const std::string node = "127.0.0.1:" + std::to_string(server_ports[s]);
+    ring.AddNode(node);
+    server_of_node[node] = s;
+  }
   const size_t num_workers =
       server_ports.size() * options.connections_per_server;
 
@@ -69,7 +78,7 @@ LoadResult RunLoad(const std::vector<LoadEvent>& events,
   // session's requests stay ordered.
   std::vector<std::vector<const LoadEvent*>> per_worker(num_workers);
   for (const LoadEvent& event : events) {
-    const size_t server = router.ServerFor(event.session_key);
+    const size_t server = server_of_node.at(ring.NodeFor(event.session_key));
     const size_t lane =
         std::hash<std::string>{}(event.session_key) %
         options.connections_per_server;
@@ -126,7 +135,7 @@ LoadResult RunLoad(const std::vector<LoadEvent>& events,
       }
       const uint64_t sent_at = clock.ElapsedMicros();
       auto response = client.Get(
-          "/recommend?session_id=" + event->session_key +
+          "/v1/recommend?session_id=" + event->session_key +
           "&item_id=" + std::to_string(event->item) +
           (event->consent ? "" : "&consent=false"));
       const uint64_t latency = clock.ElapsedMicros() - sent_at;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <thread>
 
 #include <set>
@@ -158,10 +157,6 @@ void ClusterGateway::RegisterMetrics() {
                                   "requests that exhausted all attempts");
   retries_ = &registry_.AddCounter("gateway_retries_total",
                                    "retry attempts against ring successors");
-  hedges_ = &registry_.AddCounter("gateway_hedges_total",
-                                  "hedged second requests launched");
-  hedge_wins_ = &registry_.AddCounter("gateway_hedge_wins_total",
-                                      "hedges that beat the primary");
   stale_epoch_rejects_ = &registry_.AddCounter(
       "gateway_stale_epoch_rejects_total",
       "cluster mutations rejected for carrying a stale ring epoch");
@@ -197,12 +192,6 @@ void ClusterGateway::RegisterMetrics() {
       "gateway_ring_epoch", "current fleet-membership epoch",
       MetricType::kGauge, "", [this]() -> std::vector<MetricSample> {
         return {{"", ring_epoch()}};
-      });
-  registry_.AddCallback(
-      "serenade_http_deprecated_requests_total",
-      "requests served via deprecated unversioned path aliases",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", router_.deprecated_requests()}};
       });
   registry_.AddCallback(
       "gateway_slow_requests_total",
@@ -264,7 +253,7 @@ void ClusterGateway::RegisterMetrics() {
       "per-attempt forwarding latency");
   request_latency_micros_ = &registry_.AddHistogram(
       "gateway_request_latency_microseconds",
-      "end-to-end /recommend handling latency at the gateway");
+      "end-to-end /v1/recommend handling latency at the gateway");
   for (TraceStage stage : kGatewayStages) {
     stage_micros_[static_cast<size_t>(stage)] = &registry_.AddHistogram(
         "gateway_stage_duration_microseconds",
@@ -336,11 +325,6 @@ Status ClusterGateway::Start() {
 
 void ClusterGateway::Stop() {
   if (http_) http_->Stop();
-  // Hedge losers hold references into our backend pools; wait them out
-  // (each is bounded by forward_timeout_ms).
-  while (inflight_hedges_.load() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   if (health_) health_->Stop();
 }
 
@@ -459,83 +443,6 @@ std::string ClusterGateway::FirstHealthyFor(
   return "";
 }
 
-ClusterGateway::AttemptResult ClusterGateway::ForwardMaybeHedged(
-    Backend& primary, Backend* secondary, const std::string& target,
-    const std::map<std::string, std::string>& headers,
-    const std::string* post_body) {
-  if (config_.hedge_delay_ms == 0 || secondary == nullptr) {
-    return ForwardOnce(primary, target, headers, post_body);
-  }
-
-  struct SharedState {
-    std::mutex mutex;
-    std::condition_variable cv;
-    int outstanding = 0;
-    bool have_winner = false;
-    bool winner_was_hedge = false;
-    AttemptResult winner;
-    AttemptResult last_failure;
-  };
-  auto state = std::make_shared<SharedState>();
-
-  auto launch = [this, state, &target, &headers, post_body](Backend* backend,
-                                                            bool is_hedge) {
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      ++state->outstanding;
-    }
-    inflight_hedges_.fetch_add(1);
-    // Detached: the winner's caller returns immediately, the loser keeps
-    // running (bounded by forward_timeout_ms); Stop() drains via
-    // inflight_hedges_. `target`, `headers`, and the body are copied
-    // into the thread.
-    std::thread([this, state, backend, is_hedge, target_copy = target,
-                 headers_copy = headers,
-                 body_copy = post_body == nullptr
-                     ? std::string()
-                     : *post_body,
-                 has_body = post_body != nullptr]() mutable {
-      AttemptResult result = ForwardOnce(*backend, target_copy, headers_copy,
-                                         has_body ? &body_copy : nullptr);
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        --state->outstanding;
-        if (result.ok && !state->have_winner) {
-          state->have_winner = true;
-          state->winner_was_hedge = is_hedge;
-          state->winner = std::move(result);
-        } else if (!result.ok) {
-          state->last_failure = std::move(result);
-        }
-      }
-      state->cv.notify_all();
-      inflight_hedges_.fetch_sub(1);
-    }).detach();
-  };
-
-  launch(&primary, /*is_hedge=*/false);
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  const bool primary_done = state->cv.wait_for(
-      lock, std::chrono::milliseconds(config_.hedge_delay_ms),
-      [&] { return state->have_winner || state->outstanding == 0; });
-  if (!primary_done) {
-    lock.unlock();
-    hedges_->Increment();
-    launch(secondary, /*is_hedge=*/true);
-    lock.lock();
-  }
-  state->cv.wait(lock,
-                 [&] { return state->have_winner || state->outstanding == 0; });
-  if (state->have_winner) {
-    if (state->winner_was_hedge) {
-      hedge_wins_->Increment();
-    }
-    return std::move(state->winner);
-  }
-  return std::move(state->last_failure);
-}
-
 void ClusterGateway::BuildRoutes() {
   router_.Handle("GET", "/v1/recommend",
                  [this](const HttpRequest& request, Trace* trace) {
@@ -576,14 +483,6 @@ void ClusterGateway::BuildRoutes() {
                  [this](const HttpRequest& request, Trace* trace) {
                    return HandleClusterRemove(request, trace);
                  });
-
-  // Pre-/v1 paths: same handlers (byte-identical bodies), marked
-  // deprecated on the way out. The forwarded target preserves the path
-  // the client used, so legacy traffic stays legacy on the pod hop too.
-  router_.Alias("/recommend", "/v1/recommend");
-  router_.Alias("/healthz", "/v1/healthz");
-  router_.Alias("/stats", "/v1/stats");
-  router_.Alias("/metrics", "/v1/metrics");
 }
 
 HttpResponse ClusterGateway::Handle(const HttpRequest& request) {
@@ -595,16 +494,14 @@ HttpResponse ClusterGateway::Handle(const HttpRequest& request) {
 
   HttpResponse response = router_.Dispatch(request, &trace);
   // The backend echoes arrive lower-cased (header names are folded on
-  // parse); drop them so the response carries each header exactly once
-  // (the router re-adds Deprecation for legacy paths).
+  // parse); drop them so the response carries each header exactly once.
   response.headers.erase("x-serenade-trace-id");
-  response.headers.erase("deprecation");
   response.headers[kTraceIdHeader] = trace.id();
 
   // Request-level latency metrics cover the recommend routes only, so
   // metrics scrapes and health probes don't dilute the histograms.
-  const std::string& canonical = router_.CanonicalPath(request.path);
-  if (canonical == "/v1/recommend" || canonical == "/v1/recommend:batch") {
+  if (request.path == "/v1/recommend" ||
+      request.path == "/v1/recommend:batch") {
     request_latency_micros_->Record(trace.TotalMicros());
     for (TraceStage stage : kGatewayStages) {
       if (trace.StageCount(stage) == 0) continue;
@@ -642,35 +539,21 @@ ClusterGateway::AttemptResult ClusterGateway::ForwardWithFailover(
       if (pre_retry_hook_) pre_retry_hook_();
     }
     Backend* primary = nullptr;
-    Backend* secondary = nullptr;
     {
       std::lock_guard<std::mutex> lock(membership_mutex_);
       if (ring_.num_nodes() > 0) {
         for (const std::string& name :
              ring_.SuccessorChain(ring_.NodeFor(session_key))) {
           if (tried.count(name) != 0 || !health_->IsHealthy(name)) continue;
-          Backend* backend = FindBackendLocked(name);
-          if (backend == nullptr) continue;
-          if (primary == nullptr) {
-            primary = backend;
-          } else {
-            secondary = backend;
-            break;
-          }
+          primary = FindBackendLocked(name);
+          if (primary != nullptr) break;
         }
       }
     }
     if (primary == nullptr) break;  // no untried healthy candidate left
-    // Hedge only on the first round: a retry already proved the fleet
-    // slow or unstable, racing a third request just adds load.
-    const bool hedged =
-        attempts == 0 && config_.hedge_delay_ms > 0 && secondary != nullptr;
     tried.insert(primary->endpoint.name);
-    if (hedged) tried.insert(secondary->endpoint.name);
-    last = hedged ? ForwardMaybeHedged(*primary, secondary, target, headers,
-                                       post_body)
-                  : ForwardOnce(*primary, target, headers, post_body);
-    attempts += hedged ? 2 : 1;
+    last = ForwardOnce(*primary, target, headers, post_body);
+    ++attempts;
     if (!last.ok) {
       // 503 + Retry-After is a donor holding this key closed for a
       // moment mid-cutover — the key is still THERE, so the same pod
@@ -1433,8 +1316,8 @@ HttpResponse ClusterGateway::HandleClusterDrain(const HttpRequest& request,
     ring_.RemoveNode(draining);
     for (auto it = backends_.begin(); it != backends_.end(); ++it) {
       if ((*it)->endpoint.name == draining) {
-        // Park, don't destroy: in-flight forwards and hedge losers may
-        // still hold this Backend*.
+        // Park, don't destroy: in-flight forwards may still hold this
+        // Backend*.
         retired_backends_.push_back(std::move(*it));
         backends_.erase(it);
         break;
@@ -1609,8 +1492,6 @@ GatewayCounters ClusterGateway::counters() const {
   counters.degraded = degraded_->value();
   counters.failed = failed_->value();
   counters.retries = retries_->value();
-  counters.hedges = hedges_->value();
-  counters.hedge_wins = hedge_wins_->value();
   return counters;
 }
 
@@ -1643,10 +1524,6 @@ HttpResponse ClusterGateway::HandleStats() {
       .Value(totals.failed)
       .Key("retries")
       .Value(totals.retries)
-      .Key("hedges")
-      .Value(totals.hedges)
-      .Key("hedge_wins")
-      .Value(totals.hedge_wins)
       .Key("slow_requests")
       .Value(slow_logger_.slow_requests_seen())
       .Key("client_acquires")

@@ -2,10 +2,9 @@
 // server that owns a set of Serenade pod endpoints and routes /recommend
 // by session key over a consistent-hash ring (sticky sessions), with
 // active health checking, bounded retries with exponential backoff and
-// jitter against the next ring replica, optional hedged second requests
-// for tail latency, and graceful degradation to an in-process popularity
-// recommender when the whole fleet is down — the client sees
-// {"degraded":true}, never a 5xx.
+// jitter against the next ring replica, and graceful degradation to an
+// in-process popularity recommender when the whole fleet is down — the
+// client sees {"degraded":true}, never a 5xx.
 //
 // Observability: every /recommend request carries a Trace; the gateway
 // stamps its id onto proxied requests as X-Serenade-Trace-Id, backends
@@ -14,8 +13,7 @@
 // followed gateway -> pod -> stage. All gateway metrics live in one
 // MetricsRegistry (src/obs), which renders /metrics.
 //
-// Routes (versioned /v1 API; unversioned paths remain as deprecated
-// aliases stamping `Deprecation: true`, see API.md):
+// Routes (versioned /v1 API, see API.md; any other path is a 404):
 //   GET  /v1/recommend?session_id=<key>&item_id=<id>[...] -> forwarded
 //   POST /v1/recommend        body {"session_id":...}     -> forwarded
 //   POST /v1/recommend:batch  body {"requests":[...]}
@@ -42,7 +40,6 @@
 // successor first.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -74,9 +71,6 @@ struct GatewayConfig {
   uint32_t max_attempts = 3;
   /// Base backoff before retry n is backoff * 2^(n-1) plus jitter.
   uint64_t retry_backoff_ms = 2;
-  /// Hedge a second request against the next replica when the primary
-  /// has not answered within this delay (0 = hedging disabled).
-  uint64_t hedge_delay_ms = 0;
   /// Items served by the degraded-mode fallback recommender.
   size_t fallback_items = 21;
   /// Idle keep-alive connections retained per backend.
@@ -120,8 +114,6 @@ struct GatewayCounters {
   uint64_t degraded = 0;           ///< requests served by the fallback
   uint64_t failed = 0;             ///< requests that returned an error
   uint64_t retries = 0;            ///< extra attempts after the first
-  uint64_t hedges = 0;             ///< hedged second requests launched
-  uint64_t hedge_wins = 0;         ///< hedges that beat the primary
 };
 
 /// Per-arm A/B experiment counters (monotonic; [0]=vmis, [1]=ann, indexed
@@ -255,15 +247,10 @@ class ClusterGateway {
   AttemptResult ForwardOnce(Backend& backend, const std::string& target,
                             const std::map<std::string, std::string>& headers,
                             const std::string* post_body);
-  /// Primary attempt, optionally racing a hedged attempt on `secondary`.
-  AttemptResult ForwardMaybeHedged(
-      Backend& primary, Backend* secondary, const std::string& target,
-      const std::map<std::string, std::string>& headers,
-      const std::string* post_body);
   /// The full routing policy for one session key: ring-ordered healthy
-  /// candidates, bounded retries with backoff, optional hedging. Records
-  /// the forward span on `trace`; error carries "no healthy backend" when
-  /// the candidate list was empty.
+  /// candidates, bounded retries with backoff. Records the forward span
+  /// on `trace`; error carries "no healthy backend" when the candidate
+  /// list was empty.
   AttemptResult ForwardWithFailover(
       const std::string& session_key, const std::string& target,
       const std::map<std::string, std::string>& headers,
@@ -310,8 +297,8 @@ class ClusterGateway {
   // Live membership: backends_, ring_, and ring_epoch_ move together
   // under membership_mutex_ (held briefly — candidate resolution and
   // mutation only, never across network I/O). Removed backends park in
-  // retired_backends_ so Backend* held by in-flight forwards and hedge
-  // losers stay valid for the gateway's lifetime.
+  // retired_backends_ so Backend* held by in-flight forwards stays valid
+  // for the gateway's lifetime.
   mutable std::mutex membership_mutex_;
   std::vector<std::unique_ptr<Backend>> backends_;
   std::vector<std::unique_ptr<Backend>> retired_backends_;
@@ -336,8 +323,6 @@ class ClusterGateway {
   MetricCounter* degraded_ = nullptr;
   MetricCounter* failed_ = nullptr;
   MetricCounter* retries_ = nullptr;
-  MetricCounter* hedges_ = nullptr;
-  MetricCounter* hedge_wins_ = nullptr;
   MetricCounter* stale_epoch_rejects_ = nullptr;
   MetricCounter* redirects_followed_ = nullptr;
   // A/B experiment accounting ([0]=vmis, [1]=ann by assigned arm).
@@ -359,10 +344,6 @@ class ClusterGateway {
   MetricHistogram* reactor_loop_lag_micros_ = nullptr;
   MetricHistogram* stage_micros_[kNumTraceStages] = {};
   SlowRequestLogger slow_logger_;
-
-  // Detached hedge-loser threads still in flight; Stop() waits for zero
-  // so they never outlive the state they touch.
-  std::atomic<int> inflight_hedges_{0};
 
   std::function<void()> pre_retry_hook_;
 };

@@ -1,9 +1,10 @@
-// Consistent-hash ring with virtual nodes — the fleet-placement half of
-// the paper's sticky-session routing (Figure 1 / Section 4.2). Unlike the
-// modulo placement in StickySessionRouter, adding or removing one pod
-// only remaps ~1/N of the session keys, so a rolling deploy or a pod
-// failure does not reshuffle (and thereby depersonalise) the whole fleet's
-// evolving sessions.
+// Consistent-hash ring with virtual nodes — the paper's sticky-session
+// routing (Figure 1 / Section 4.2), and the one session placement in this
+// repo: the gateway, the load generator and the serving demo all use it.
+// Adding or removing one pod only remaps ~1/N of the session keys
+// (modulo placement would remap nearly all of them), so a rolling deploy
+// or a pod failure does not reshuffle (and thereby depersonalise) the
+// whole fleet's evolving sessions.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/crc32.h"
+#include "index/section_codec.h"
 
 namespace serenade {
 
@@ -12,84 +13,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'R', 'N', 'E', 'M', 'B', '1', '\0'};
 constexpr uint32_t kVersion = 1;
-
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-bool GetVarint(const char** cursor, const char* end, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (*cursor < end && shift <= 63) {
-    const uint8_t byte = static_cast<uint8_t>(**cursor);
-    ++*cursor;
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-void PutFixed32(std::string* out, uint32_t value) {
-  char buf[4];
-  std::memcpy(buf, &value, 4);
-  out->append(buf, 4);
-}
-
-void PutFixed64(std::string* out, uint64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out->append(buf, 8);
-}
-
-// Section CRCs are stored *masked* (rotate + add a constant, after
-// LevelDB). Storing a raw CRC right after its payload makes the whole
-// file's CRC a constant function of the framing: CRC is linear over
-// GF(2), so `payload || crc(payload)` always leaves the same residue,
-// and two different well-formed artifacts would collide in the
-// manifest's whole-file index_crc32. The addition carries are
-// non-linear, which breaks that cancellation — the manifest CRC
-// actually distinguishes artifacts again (embedding_codec_test pins
-// this).
-constexpr uint32_t kCrcMaskDelta = 0xa282ead8u;
-
-uint32_t MaskCrc(uint32_t crc) {
-  return ((crc >> 15) | (crc << 17)) + kCrcMaskDelta;
-}
-
-void AppendSection(std::string* out, const std::string& payload) {
-  PutFixed64(out, payload.size());
-  out->append(payload);
-  PutFixed32(out, MaskCrc(Crc32(payload.data(), payload.size())));
-}
-
-Status ReadSection(const char** cursor, const char* end,
-                   const char** payload, size_t* payload_size) {
-  if (end - *cursor < 8) return Status::Corruption("section length");
-  uint64_t size = 0;
-  std::memcpy(&size, *cursor, 8);
-  *cursor += 8;
-  if (static_cast<uint64_t>(end - *cursor) < size + 4) {
-    return Status::Corruption("section payload truncated");
-  }
-  *payload = *cursor;
-  *payload_size = static_cast<size_t>(size);
-  *cursor += size;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, *cursor, 4);
-  *cursor += 4;
-  if (MaskCrc(Crc32(*payload, *payload_size)) != stored_crc) {
-    return Status::Corruption("section CRC mismatch");
-  }
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -131,7 +54,8 @@ StatusOr<ItemEmbeddings> DeserializeEmbeddings(const std::string& bytes) {
 
   const char* header = nullptr;
   size_t header_size = 0;
-  SERENADE_RETURN_IF_ERROR(ReadSection(&cursor, end, &header, &header_size));
+  SERENADE_RETURN_IF_ERROR(
+      ReadSection(&cursor, end, SectionCrc::kMasked, &header, &header_size));
   const char* header_cursor = header;
   const char* header_end = header + header_size;
   uint64_t num_items = 0, dim = 0;
@@ -145,7 +69,8 @@ StatusOr<ItemEmbeddings> DeserializeEmbeddings(const std::string& bytes) {
 
   const char* vectors = nullptr;
   size_t vectors_size = 0;
-  SERENADE_RETURN_IF_ERROR(ReadSection(&cursor, end, &vectors, &vectors_size));
+  SERENADE_RETURN_IF_ERROR(ReadSection(&cursor, end, SectionCrc::kMasked,
+                                       &vectors, &vectors_size));
   if (cursor != end) {
     return Status::Corruption("trailing bytes after embedding sections");
   }

@@ -6,58 +6,24 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/crc32.h"
+#include "index/section_codec.h"
 
 namespace serenade {
 
 namespace {
 
 constexpr char kMagic[8] = {'S', 'R', 'N', 'I', 'D', 'X', '1', '\0'};
-constexpr uint32_t kVersion = 2;
-// Version 1 lacked the item_frequency section; readers still accept it.
+constexpr uint32_t kVersion = 3;
+// Version 1 lacked the item_frequency section; versions 1 and 2 stored
+// raw section CRCs. Readers still accept both.
 constexpr size_t kNumSectionsV1 = 6;
-constexpr size_t kNumSectionsV2 = 7;
+constexpr size_t kNumSections = 7;
+constexpr uint32_t kFirstMaskedVersion = 3;
 
 constexpr char kDeltaMagic[8] = {'S', 'R', 'N', 'D', 'L', 'T', '1', '\0'};
-constexpr uint32_t kDeltaVersion = 1;
-
-// --- varint primitives -----------------------------------------------------
-
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-bool GetVarint(const char** cursor, const char* end, uint64_t* value) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (*cursor < end && shift <= 63) {
-    const uint8_t byte = static_cast<uint8_t>(**cursor);
-    ++*cursor;
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-void PutFixed32(std::string* out, uint32_t value) {
-  char buf[4];
-  std::memcpy(buf, &value, 4);
-  out->append(buf, 4);
-}
-
-void PutFixed64(std::string* out, uint64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out->append(buf, 8);
-}
+// Version 1 stored raw section CRCs; readers still accept it.
+constexpr uint32_t kDeltaVersion = 2;
+constexpr uint32_t kFirstMaskedDeltaVersion = 2;
 
 // --- section encoders ------------------------------------------------------
 
@@ -171,33 +137,6 @@ Status DecodeFloats(const char* data, size_t size, std::vector<float>* out) {
   return Status::Ok();
 }
 
-void AppendSection(std::string* out, const std::string& payload) {
-  PutFixed64(out, payload.size());
-  out->append(payload);
-  PutFixed32(out, Crc32(payload.data(), payload.size()));
-}
-
-Status ReadSection(const char** cursor, const char* end,
-                   const char** payload, size_t* payload_size) {
-  if (end - *cursor < 8) return Status::Corruption("section length");
-  uint64_t size = 0;
-  std::memcpy(&size, *cursor, 8);
-  *cursor += 8;
-  if (static_cast<uint64_t>(end - *cursor) < size + 4) {
-    return Status::Corruption("section payload truncated");
-  }
-  *payload = *cursor;
-  *payload_size = static_cast<size_t>(size);
-  *cursor += size;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, *cursor, 4);
-  *cursor += 4;
-  if (Crc32(*payload, *payload_size) != stored_crc) {
-    return Status::Corruption("section CRC mismatch");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 std::string SerializeIndex(const SessionIndex& index) {
@@ -229,21 +168,22 @@ StatusOr<SessionIndex> DeserializeIndex(const std::string& bytes) {
   uint32_t version = 0;
   std::memcpy(&version, cursor, 4);
   cursor += 4;
-  if (version != 1 && version != kVersion) {
+  if (version < 1 || version > kVersion) {
     return Status::Corruption("unsupported index version " +
                               std::to_string(version));
   }
-  const size_t num_sections =
-      version == 1 ? kNumSectionsV1 : kNumSectionsV2;
+  const size_t num_sections = version == 1 ? kNumSectionsV1 : kNumSections;
+  const SectionCrc crc = version >= kFirstMaskedVersion ? SectionCrc::kMasked
+                                                       : SectionCrc::kRaw;
   SessionIndex::Raw raw;
   std::memcpy(&raw.max_sessions_per_item, cursor, 8);
   cursor += 8;
 
-  const char* payloads[kNumSectionsV2];
-  size_t payload_sizes[kNumSectionsV2];
+  const char* payloads[kNumSections];
+  size_t payload_sizes[kNumSections];
   for (size_t i = 0; i < num_sections; ++i) {
     SERENADE_RETURN_IF_ERROR(
-        ReadSection(&cursor, end, &payloads[i], &payload_sizes[i]));
+        ReadSection(&cursor, end, crc, &payloads[i], &payload_sizes[i]));
   }
 
   SERENADE_RETURN_IF_ERROR(
@@ -353,14 +293,18 @@ StatusOr<IndexDelta> DeserializeDelta(const std::string& bytes) {
   uint32_t version = 0;
   std::memcpy(&version, cursor, 4);
   cursor += 4;
-  if (version != kDeltaVersion) {
+  if (version < 1 || version > kDeltaVersion) {
     return Status::Corruption("unsupported delta version " +
                               std::to_string(version));
   }
+  const SectionCrc crc = version >= kFirstMaskedDeltaVersion
+                             ? SectionCrc::kMasked
+                             : SectionCrc::kRaw;
 
   const char* lineage = nullptr;
   size_t lineage_size = 0;
-  SERENADE_RETURN_IF_ERROR(ReadSection(&cursor, end, &lineage, &lineage_size));
+  SERENADE_RETURN_IF_ERROR(
+      ReadSection(&cursor, end, crc, &lineage, &lineage_size));
   IndexDelta delta;
   uint64_t base_crc = 0, num_sessions = 0;
   {
@@ -381,7 +325,8 @@ StatusOr<IndexDelta> DeserializeDelta(const std::string& bytes) {
 
   const char* payload = nullptr;
   size_t payload_size = 0;
-  SERENADE_RETURN_IF_ERROR(ReadSection(&cursor, end, &payload, &payload_size));
+  SERENADE_RETURN_IF_ERROR(
+      ReadSection(&cursor, end, crc, &payload, &payload_size));
   if (cursor != end) return Status::Corruption("trailing bytes after delta");
 
   const char* c = payload;
@@ -567,6 +512,23 @@ StatusOr<SessionIndex> ApplyDeltaToIndex(const SessionIndex& base,
   }
 
   return SessionIndex::FromRaw(std::move(raw));
+}
+
+IndexDelta DeltaFromSessions(const std::vector<SessionData>& sessions,
+                             Timestamp base_max_timestamp) {
+  IndexDelta delta;
+  Timestamp end_time = base_max_timestamp;
+  for (const SessionData& session : sessions) {
+    DeltaSession entry;
+    entry.items = session.items;
+    std::sort(entry.items.begin(), entry.items.end());
+    entry.items.erase(std::unique(entry.items.begin(), entry.items.end()),
+                      entry.items.end());
+    end_time = std::max(end_time, session.end_time);
+    entry.end_time = end_time;
+    delta.sessions.push_back(std::move(entry));
+  }
+  return delta;
 }
 
 }  // namespace serenade

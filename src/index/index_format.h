@@ -6,23 +6,25 @@
 // freshness pipeline"). Both formats are compressed with varint/delta
 // coding (the paper: "a compressed representation of our index") and
 // every section carries a CRC-32 so a corrupted replica is rejected at
-// load time rather than serving garbage.
+// load time rather than serving garbage. Section framing and CRC
+// masking are shared with the embedding format (index/section_codec.h).
 //
-// Index layout (version 2):
+// Index layout (version 3):
 //   header:  magic "SRNIDX1\0" | u32 version | u64 m | sections
-//   sections (each varint-coded payload followed by u32 CRC of payload):
+//   sections (each varint-coded payload followed by its masked CRC):
 //     1 item_offsets        (delta + varint; monotone non-decreasing)
 //     2 session_lists       (varint)
 //     3 session_timestamps  (delta vs min + varint, preceded by min)
 //     4 session_offsets     (delta + varint)
 //     5 session_items       (varint)
 //     6 item_idf            (raw float32 little-endian)
-//     7 item_frequencies    (varint; exact h_i counts, v2 only)
-// Version-1 artifacts (six sections, no frequencies) still load; their
+//     7 item_frequencies    (varint; exact h_i counts, v2 and later)
+// Version-2 artifacts (same sections, raw CRCs) still load. Version-1
+// artifacts (six sections, no frequencies, raw CRCs) load too; their
 // indexes report has_frequencies() == false and cannot serve as a delta
 // base (IDF after a merge must be recomputed from exact counts).
 //
-// Delta layout (version 1):
+// Delta layout (version 2; version 1, with raw CRCs, still loads):
 //   header:  magic "SRNDLT1\0" | u32 version | sections
 //   sections:
 //     1 lineage   (varint: base_version, base_crc32, delta_version,
@@ -66,7 +68,7 @@ struct DeltaSession {
   /// Index-time end timestamp. Must be >= the base index's maximum
   /// timestamp and non-decreasing across the delta's sessions, so delta
   /// sessions are by construction the most recent — the invariant the
-  /// overlay merge and VMIS-kNN's early stopping rely on.
+  /// delta merge and VMIS-kNN's early stopping rely on.
   Timestamp end_time = 0;
   /// Wall clock (ms since epoch) when the session's last click was
   /// observed on a pod — the freshness-SLO anchor: click -> servable
@@ -109,5 +111,13 @@ StatusOr<IndexDelta> ReadDeltaFile(const std::string& path);
 /// end_times regress below the base's maximum timestamp.
 StatusOr<SessionIndex> ApplyDeltaToIndex(const SessionIndex& base,
                                          const IndexDelta& delta);
+
+/// Finished sessions (in order) as a delta over a base whose newest
+/// session ended at `base_max_timestamp`: items are deduplicated and
+/// sorted, and end times are raised to the base horizon and to their
+/// predecessor's, the order ApplyDeltaToIndex requires. Lineage fields
+/// stay zero for the caller to stamp.
+IndexDelta DeltaFromSessions(const std::vector<SessionData>& sessions,
+                             Timestamp base_max_timestamp);
 
 }  // namespace serenade

@@ -104,12 +104,6 @@ void SerenadeServer::RegisterMetrics() {
         return {{"", requests_served()}};
       });
   registry_.AddCallback(
-      "serenade_http_deprecated_requests_total",
-      "requests served via deprecated unversioned path aliases",
-      MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
-        return {{"", router_.deprecated_requests()}};
-      });
-  registry_.AddCallback(
       "serenade_store_reads_total", "session store reads",
       MetricType::kCounter, "", [this]() -> std::vector<MetricSample> {
         return {{"", service_->StoreStats().reads}};
@@ -233,7 +227,7 @@ void SerenadeServer::RegisterMetrics() {
 
   recommend_latency_micros_ = &registry_.AddHistogram(
       "serenade_recommend_latency_microseconds",
-      "/recommend handling latency");
+      "/v1/recommend handling latency");
 
   // Second retrieval family: per-arm traffic/latency plus the embedding
   // snapshot lifecycle (all read 0 / stay empty on pods without an ANN
@@ -334,16 +328,6 @@ void SerenadeServer::BuildRoutes() {
                  [this](const HttpRequest& request, Trace* trace) {
                    return HandleAdminEmbeddingsReload(request, trace);
                  });
-
-  // Pre-/v1 paths and the pre-namespace admin spellings: same handlers
-  // (byte-identical bodies), marked deprecated on the way out.
-  router_.Alias("/recommend", "/v1/recommend");
-  router_.Alias("/healthz", "/v1/healthz");
-  router_.Alias("/stats", "/v1/stats");
-  router_.Alias("/metrics", "/v1/metrics");
-  router_.Alias("/v1/admin/reload", "/v1/admin/index/reload");
-  router_.Alias("/admin/reload", "/v1/admin/index/reload");
-  router_.Alias("/v1/admin/delta", "/v1/admin/index/delta");
 }
 
 Status SerenadeServer::Start() {
@@ -409,8 +393,8 @@ HttpResponse SerenadeServer::Handle(const HttpRequest& request) {
 
   // Request-level latency metrics cover the recommend routes only, so
   // metrics scrapes and health probes don't dilute the histograms.
-  const std::string& canonical = router_.CanonicalPath(request.path);
-  if (canonical == "/v1/recommend" || canonical == "/v1/recommend:batch") {
+  if (request.path == "/v1/recommend" ||
+      request.path == "/v1/recommend:batch") {
     recommend_latency_micros_->Record(trace.TotalMicros());
     RecordStageMetrics(trace);
     slow_logger_.MaybeLog(trace, "pod", request.path, response.status);

@@ -28,11 +28,8 @@
 // Admin endpoints live under the uniform /v1/admin/<subsystem>/<verb>
 // namespace; the replication subsystem (src/replication) registers its
 // /v1/admin/replication/* and /v1/admin/sessions/* routes on the same
-// router. Legacy paths (/recommend, /healthz, /stats, /metrics,
-// /admin/reload, /v1/admin/reload, /v1/admin/delta) remain as aliases
-// that serve byte-identical responses but stamp `Deprecation: true` and
-// count into serenade_http_deprecated_requests_total. Unknown paths get a 404 and
-// wrong methods a 405 (with Allow), both as the unified error envelope
+// router. Unknown paths get a 404 and wrong methods a 405 (with Allow),
+// both as the unified error envelope
 // {"error":{"code":...,"message":...,"trace_id":...}} (see API.md).
 //
 // Observability: every request carries a Trace (adopting an inbound
@@ -161,7 +158,7 @@ class SerenadeServer {
   }
 
   /// Applies a streaming freshness delta over the pod's pinned base
-  /// snapshot (also exposed as POST /v1/admin/delta) and records the
+  /// snapshot (also exposed as POST /v1/admin/index/delta) and records the
   /// click->servable latency of the sessions it adds. kAlreadyExists
   /// passes through (idempotent re-delivery).
   Status ApplyDelta(const IndexDelta& delta);

@@ -15,12 +15,14 @@
 //   * manifest sidecars round-trip the delta lineage fields and
 //     CheckManifestOverwrite refuses version regressions.
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/session_index.h"
 #include "data/click_log.h"
 #include "index/index_format.h"
@@ -70,6 +72,46 @@ IndexDelta MakeDelta(std::vector<DeltaSession> sessions,
   }
   delta.watermark_unix_ms = watermark;
   return delta;
+}
+
+TEST(DeltaCodecTest, DifferentArtifactsGetDifferentCrcs) {
+  // Regression pin: raw section CRCs made the whole-file CRC a constant
+  // of the framing, so same-shaped deltas collided. Item 2 -> 3 keeps
+  // every varint the same width, so only the content differs.
+  std::vector<DeltaSession> changed = StreamedSessions();
+  changed[0].items = {1, 3, 5};
+  const std::string a = SerializeDelta(MakeDelta(StreamedSessions()));
+  const std::string b = SerializeDelta(MakeDelta(changed));
+  ASSERT_NE(a, b);
+  ASSERT_EQ(a.size(), b.size())
+      << "same shape must frame to the same size for this pin to bite";
+  EXPECT_NE(Crc32(a.data(), a.size()), Crc32(b.data(), b.size()));
+}
+
+TEST(DeltaCodecTest, RawCrcVersion1ArtifactStillLoads) {
+  // Re-frame a current artifact as a version-1 writer framed it: version
+  // 1, raw payload CRCs. Published deltas outlive the binary that wrote
+  // them, so readers keep accepting it.
+  const IndexDelta delta = MakeDelta(StreamedSessions());
+  const std::string current = SerializeDelta(delta);
+  constexpr size_t kHeader = 8 + 4;  // magic | version
+  std::string v1 = current.substr(0, kHeader);
+  const uint32_t version = 1;
+  std::memcpy(&v1[8], &version, sizeof(version));
+  size_t cursor = kHeader;
+  for (int section = 0; section < 2; ++section) {
+    uint64_t size = 0;
+    std::memcpy(&size, &current[cursor], sizeof(size));
+    v1.append(current, cursor, 8 + size);
+    const uint32_t raw_crc = Crc32(current.data() + cursor + 8, size);
+    v1.append(reinterpret_cast<const char*>(&raw_crc), sizeof(raw_crc));
+    cursor += 8 + size + 4;
+  }
+  ASSERT_EQ(cursor, current.size());
+
+  auto decoded = DeserializeDelta(v1);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(SerializeDelta(*decoded), current);
 }
 
 TEST(DeltaCodecTest, RoundTripsLosslesslyAndDeterministically) {
@@ -152,6 +194,39 @@ TEST(DeltaCodecTest, DeltaFileRoundTrips) {
   auto read = ReadDeltaFile(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(SerializeDelta(*read), SerializeDelta(delta));
+}
+
+TEST(ApplyDeltaTest, DeltaFromSessionsMeetsTheMergeInvariants) {
+  // Click-order items with repeats, one end time below the base horizon
+  // and one that regresses: the delta must come out sorted, distinct and
+  // non-decreasing at or above the horizon, so the merge accepts it.
+  std::vector<SessionData> sessions(3);
+  sessions[0].items = {5, 1, 5, 2};
+  sessions[0].end_time = 70;
+  sessions[1].items = {4, 4};
+  sessions[1].end_time = 66;  // regresses below its predecessor
+  sessions[2].items = {9, 1};
+  sessions[2].end_time = 80;
+  const IndexDelta delta = DeltaFromSessions(sessions, /*base_max=*/75);
+  ASSERT_EQ(delta.sessions.size(), 3u);
+  EXPECT_EQ(delta.sessions[0].items, (std::vector<ItemId>{1, 2, 5}));
+  EXPECT_EQ(delta.sessions[1].items, (std::vector<ItemId>{4}));
+  EXPECT_EQ(delta.sessions[2].items, (std::vector<ItemId>{1, 9}));
+  EXPECT_EQ(delta.sessions[0].end_time, 75u);
+  EXPECT_EQ(delta.sessions[1].end_time, 75u);
+  EXPECT_EQ(delta.sessions[2].end_time, 80u);
+
+  const SessionIndex base = SessionIndex::Build(
+      Dataset::FromClicks(BaseClicks(), 2), /*max_sessions_per_item=*/3);
+  auto merged = ApplyDeltaToIndex(base, DeltaFromSessions(sessions, 62));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->num_sessions(), base.num_sessions() + 3);
+  EXPECT_EQ(merged->num_items(), 10u);
+
+  // No fresh sessions: the merge reproduces the base byte for byte.
+  auto unchanged = ApplyDeltaToIndex(base, DeltaFromSessions({}, 62));
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status().ToString();
+  EXPECT_EQ(SerializeIndex(*unchanged), SerializeIndex(base));
 }
 
 TEST(ApplyDeltaTest, MergedIndexIsByteIdenticalToFullRebuild) {

@@ -1,9 +1,13 @@
 #include "index/index_format.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "data/synthetic.h"
 #include "index/index_builder.h"
+#include "index/snapshot.h"
 
 namespace serenade {
 namespace {
@@ -97,6 +101,64 @@ TEST(IndexFormatTest, RejectsBitFlips) {
     corrupted[position] = static_cast<char>(corrupted[position] ^ 0x40);
     EXPECT_FALSE(DeserializeIndex(corrupted).ok()) << "position " << position;
   }
+}
+
+TEST(IndexFormatTest, DifferentArtifactsGetDifferentManifestCrcs) {
+  // Regression pin: with each raw section CRC stored right after its
+  // payload, the whole-file CRC is a constant of the framing (CRC is
+  // linear over GF(2)), so every same-shaped index collided in the
+  // manifest's index_crc32. Masked section CRCs break that.
+  const SessionIndex a = SessionIndex::Build(MakeData(), 50);
+  SessionIndex::Raw raw = a.ToRaw();
+  ASSERT_FALSE(raw.item_idf.empty());
+  raw.item_idf[0] += 0.25f;  // fixed-width section: the size stays put
+  const SessionIndex b = SessionIndex::FromRaw(std::move(raw));
+
+  IndexManifest stamp;
+  auto manifest_a = WriteIndexWithManifest(
+      testing::TempDir() + "/crc-a.srn", a, stamp);
+  auto manifest_b = WriteIndexWithManifest(
+      testing::TempDir() + "/crc-b.srn", b, stamp);
+  ASSERT_TRUE(manifest_a.ok() && manifest_b.ok());
+  EXPECT_EQ(manifest_a->index_bytes, manifest_b->index_bytes)
+      << "same shape must frame to the same size for this pin to bite";
+  EXPECT_NE(manifest_a->index_crc32, manifest_b->index_crc32);
+}
+
+TEST(IndexFormatTest, RawCrcVersion2ArtifactStillLoads) {
+  // Version-2 artifacts, written before section CRCs were masked, must
+  // keep loading. Re-frame a current artifact the way a v2 writer framed
+  // it: same header and payloads, version 2, raw payload CRCs.
+  const SessionIndex index = SessionIndex::Build(MakeData(), 50);
+  const std::string current = SerializeIndex(index);
+  constexpr size_t kHeader = 8 + 4 + 8;  // magic | version | m
+  std::string v2 = current.substr(0, kHeader);
+  const uint32_t version = 2;
+  std::memcpy(&v2[8], &version, sizeof(version));
+  size_t cursor = kHeader;
+  for (int section = 0; section < 7; ++section) {
+    uint64_t size = 0;
+    std::memcpy(&size, &current[cursor], sizeof(size));
+    v2.append(current, cursor, 8 + size);
+    const uint32_t raw_crc = Crc32(current.data() + cursor + 8, size);
+    v2.append(reinterpret_cast<const char*>(&raw_crc), sizeof(raw_crc));
+    cursor += 8 + size + 4;
+  }
+  ASSERT_EQ(cursor, current.size());
+  ASSERT_EQ(v2.size(), current.size());
+  ASSERT_NE(v2.substr(kHeader), current.substr(kHeader));
+
+  auto restored = DeserializeIndex(v2);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectIndexesEqual(index, *restored);
+  EXPECT_EQ(SerializeIndex(*restored), current);
+
+  // The version selects the CRC mode: raw CRCs under the current version
+  // are corruption.
+  std::string mislabelled = v2;
+  std::memcpy(&mislabelled[8], &current[8], sizeof(version));
+  EXPECT_EQ(DeserializeIndex(mislabelled).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(IndexFormatTest, MissingFileIsIoError) {

@@ -1,9 +1,9 @@
-// Swap-under-load: concurrent /recommend traffic while the index is
+// Swap-under-load: concurrent /v1/recommend traffic while the index is
 // hot-swapped must see zero failures, and the published version must be
-// observable across /healthz, /stats, and /metrics. Run under ASan and
-// TSan by tools/run_sanitized_tests.sh — the point of the RCU snapshot
-// design is that a stale scratch recommender can never score against a
-// freed index.
+// observable across /v1/healthz, /v1/stats, and /v1/metrics. Run under
+// ASan and TSan by tools/run_sanitized_tests.sh — the point of the RCU
+// snapshot design is that a stale scratch recommender can never score
+// against a freed index.
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -90,9 +90,9 @@ TEST(IndexSwapTest, ConcurrentRequestsSurviveRepeatedPublishes) {
 }
 
 // HTTP-level hot swap: a running SerenadeServer switches to a newly built
-// index file via POST /admin/reload with zero failed /recommend requests
-// under concurrent load, and the version change is visible on every
-// observability surface.
+// index file via POST /v1/admin/index/reload with zero failed
+// /v1/recommend requests under concurrent load, and the version change is
+// visible on every observability surface.
 TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   const Dataset train_a = MakeDataset(31);
   const Dataset train_b = MakeDataset(32);
@@ -129,7 +129,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   ASSERT_TRUE(admin.Connect(server.port()).ok());
 
   // Baseline: version 1 everywhere.
-  auto health = admin.Get("/healthz");
+  auto health = admin.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(ParseJson(health->body)->Find("index_version")->AsInt(), 1);
 
@@ -147,7 +147,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         auto response =
-            client.Get("/recommend?session_id=load-" + std::to_string(t) +
+            client.Get("/v1/recommend?session_id=load-" + std::to_string(t) +
                        "&item_id=" + std::to_string((t * 17 + i++) % 200));
         if (!response.ok() || response->status != 200) {
           failures.fetch_add(1, std::memory_order_relaxed);
@@ -163,7 +163,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     const std::string& target = (swap % 2 == 0) ? path_b : path_a;
-    auto response = admin.Post("/admin/reload?path=" + target, "");
+    auto response = admin.Post("/v1/admin/index/reload?path=" + target, "");
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200) << response->body;
     last_body = response->body;
@@ -181,11 +181,11 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   EXPECT_EQ(reload_doc->Find("index_version")->AsInt(), 1);
   EXPECT_EQ(reload_doc->Find("index_source")->AsString(), path_a);
 
-  health = admin.Get("/healthz");
+  health = admin.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(ParseJson(health->body)->Find("index_version")->AsInt(), 1);
 
-  auto stats = admin.Get("/stats");
+  auto stats = admin.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
@@ -194,7 +194,7 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
   EXPECT_EQ(stats_doc->Find("index_reloads")->AsInt(), 6);
   EXPECT_EQ(stats_doc->Find("index_reload_failures")->AsInt(), 0);
 
-  auto metrics = admin.Get("/metrics");
+  auto metrics = admin.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->body.find("serenade_index_version 1"),
             std::string::npos);
@@ -203,10 +203,10 @@ TEST(IndexSwapTest, AdminReloadUnderLoadIsZeroDowntime) {
 
   // A failed rollout (bad path) is rejected, counted, and the published
   // snapshot stays put.
-  auto bad = admin.Post("/admin/reload?path=" + TempPath("missing.index"), "");
+  auto bad = admin.Post("/v1/admin/index/reload?path=" + TempPath("missing.index"), "");
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->status, 404);
-  stats = admin.Get("/stats");
+  stats = admin.Get("/v1/stats");
   stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
   EXPECT_EQ(stats_doc->Find("index_version")->AsInt(), 1);
@@ -313,7 +313,7 @@ TEST(IndexSwapTest, BatchedTrafficSurvivesHotSwaps) {
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     const std::string& target = (swap % 2 == 0) ? path_b : path_a;
-    auto response = admin.Post("/v1/admin/reload?path=" + target, "");
+    auto response = admin.Post("/v1/admin/index/reload?path=" + target, "");
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_EQ(response->status, 200) << response->body;
   }

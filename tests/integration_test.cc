@@ -1,6 +1,6 @@
 // Full-pipeline integration tests: offline build -> binary index file ->
-// serving over HTTP -> evaluation, plus the incremental-maintenance path
-// serving fresh sessions and the TTL janitor actually evicting state.
+// serving over HTTP -> evaluation, plus a merged delta serving fresh
+// sessions and the TTL janitor actually evicting state.
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -14,7 +14,6 @@
 #include "eval/evaluator.h"
 #include "index/index_builder.h"
 #include "index/index_format.h"
-#include "index/updatable_index.h"
 #include "serving/json.h"
 #include "serving/server.h"
 
@@ -76,7 +75,7 @@ TEST(IntegrationTest, OfflinePipelineToServingToEvaluation) {
     if (served_sessions++ >= 150) break;
     const std::string key = "it-" + std::to_string(session.id);
     for (size_t i = 0; i + 1 < session.items.size(); ++i) {
-      auto response = client.Get("/recommend?session_id=" + key +
+      auto response = client.Get("/v1/recommend?session_id=" + key +
                                  "&item_id=" +
                                  std::to_string(session.items[i]));
       ASSERT_TRUE(response.ok());
@@ -130,7 +129,7 @@ TEST(IntegrationTest, JanitorEvictsIdleSessions) {
 
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
-  ASSERT_TRUE(client.Get("/recommend?session_id=idle&item_id=3").ok());
+  ASSERT_TRUE(client.Get("/v1/recommend?session_id=idle&item_id=3").ok());
   EXPECT_EQ(server.service().StoreStats().live_entries, 1u);
 
   now += 120;  // session is now idle past the TTL
@@ -144,8 +143,8 @@ TEST(IntegrationTest, JanitorEvictsIdleSessions) {
 }
 
 TEST(IntegrationTest, UpdatableIndexServesBrandNewItems) {
-  // A brand-new item enters the catalog after the nightly build; with the
-  // incremental index it becomes recommendable without a rebuild.
+  // A brand-new item enters the catalog after the nightly build; merged
+  // in as a delta it becomes recommendable without a rebuild.
   SyntheticConfig config;
   config.seed = 1003;
   config.num_items = 300;
@@ -153,17 +152,23 @@ TEST(IntegrationTest, UpdatableIndexServesBrandNewItems) {
   config.num_days = 4;
   Dataset train = GenerateDataset(config);
 
-  UpdatableSessionIndex index(SessionIndex::Build(train, 200));
+  const SessionIndex base = SessionIndex::Build(train, 200);
   const ItemId new_item = static_cast<ItemId>(train.num_items() + 1);
   // Several fresh sessions pair the new item with item 5.
-  for (int i = 0; i < 30; ++i) {
-    index.Ingest({5, new_item}, train.max_timestamp() + 100 + i);
+  std::vector<SessionData> fresh(30);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i].items = {5, new_item};
+    fresh[i].end_time = train.max_timestamp() + 100 + i;
   }
+  auto index =
+      ApplyDeltaToIndex(base, DeltaFromSessions(fresh, train.max_timestamp()));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->num_items(), static_cast<size_t>(new_item) + 1);
 
   KnnConfig knn_config;
   knn_config.m = 200;
   knn_config.k = 50;
-  VmisKnnT<UpdatableSessionIndex> model(&index, knn_config);
+  VmisKnn model(&*index, knn_config);
   const auto recs = model.RecommendNext({5}, 20);
   bool found = false;
   for (const ScoredItem& rec : recs) found |= rec.item == new_item;

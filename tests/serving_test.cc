@@ -10,7 +10,6 @@
 #include "index/snapshot.h"
 #include "serving/business_rules.h"
 #include "serving/json.h"
-#include "serving/router.h"
 #include "serving/server.h"
 #include "serving/service.h"
 #include "data/synthetic.h"
@@ -106,29 +105,6 @@ TEST(SessionCodecTest, MaxLengthStoredSessionRoundTrips) {
     session[i] = static_cast<ItemId>(i * 2654435761u);  // spread digits
   }
   EXPECT_EQ(DecodeSession(EncodeSession(session)), session);
-}
-
-// --- router -----------------------------------------------------------------
-
-TEST(RouterTest, StableAssignment) {
-  StickySessionRouter router(4);
-  for (const std::string key : {"user-a", "user-b", "x"}) {
-    const size_t first = router.ServerFor(key);
-    for (int i = 0; i < 10; ++i) EXPECT_EQ(router.ServerFor(key), first);
-    EXPECT_LT(first, 4u);
-  }
-}
-
-TEST(RouterTest, ReasonablyBalanced) {
-  StickySessionRouter router(4);
-  std::vector<size_t> counts(4, 0);
-  for (int i = 0; i < 40000; ++i) {
-    ++counts[router.ServerFor("session-" + std::to_string(i))];
-  }
-  for (size_t count : counts) {
-    EXPECT_GT(count, 9000u);
-    EXPECT_LT(count, 11000u);
-  }
 }
 
 // --- service ----------------------------------------------------------------
@@ -291,14 +267,14 @@ TEST_F(ServiceTest, EndToEndOverHttp) {
   ASSERT_TRUE(client.Connect(server.port()).ok());
 
   // Health check.
-  auto health = client.Get("/healthz");
+  auto health = client.Get("/v1/healthz");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health->status, 200);
 
   // Three clicks in one session; responses must be valid JSON with <= 21
   // items and matching scores arrays.
   for (ItemId item : {3u, 4u, 5u}) {
-    auto response = client.Get("/recommend?session_id=web-1&item_id=" +
+    auto response = client.Get("/v1/recommend?session_id=web-1&item_id=" +
                                std::to_string(item));
     ASSERT_TRUE(response.ok());
     ASSERT_EQ(response->status, 200) << response->body;
@@ -316,12 +292,12 @@ TEST_F(ServiceTest, EndToEndOverHttp) {
   EXPECT_EQ(server.service().GetSession("web-1")->size(), 3u);
 
   // Bad requests.
-  EXPECT_EQ(client.Get("/recommend")->status, 400);
-  EXPECT_EQ(client.Get("/recommend?session_id=x&item_id=abc")->status, 400);
+  EXPECT_EQ(client.Get("/v1/recommend")->status, 400);
+  EXPECT_EQ(client.Get("/v1/recommend?session_id=x&item_id=abc")->status, 400);
   EXPECT_EQ(client.Get("/nope")->status, 404);
 
   // Stats endpoint reports traffic.
-  auto stats = client.Get("/stats");
+  auto stats = client.Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
   auto stats_doc = ParseJson(stats->body);
   ASSERT_TRUE(stats_doc.ok());
@@ -342,9 +318,9 @@ TEST_F(ServiceTest, MetricsEndpointExposesPrometheusFormat) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(client.Get("/recommend?session_id=m&item_id=3").ok());
+    ASSERT_TRUE(client.Get("/v1/recommend?session_id=m&item_id=3").ok());
   }
-  auto metrics = client.Get("/metrics");
+  auto metrics = client.Get("/v1/metrics");
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->content_type.find("text/plain"), std::string::npos);
@@ -612,13 +588,13 @@ TEST_F(ServiceTest, RecommendEchoesTraceId) {
   ASSERT_TRUE(client.Connect(server.port()).ok());
 
   // No inbound id: the pod mints one and echoes it.
-  auto minted = client.Get("/recommend?session_id=t&item_id=3");
+  auto minted = client.Get("/v1/recommend?session_id=t&item_id=3");
   ASSERT_TRUE(minted.ok());
   EXPECT_TRUE(IsValidTraceId(minted->Header("X-Serenade-Trace-Id")))
       << "'" << minted->Header("X-Serenade-Trace-Id") << "'";
 
   // Inbound id (as stamped by the gateway): adopted verbatim.
-  auto adopted = client.Get("/recommend?session_id=t&item_id=4",
+  auto adopted = client.Get("/v1/recommend?session_id=t&item_id=4",
                             {{"X-Serenade-Trace-Id", "abad1dea00000001"}});
   ASSERT_TRUE(adopted.ok());
   EXPECT_EQ(adopted->Header("X-Serenade-Trace-Id"), "abad1dea00000001");
@@ -637,7 +613,7 @@ TEST_F(ServiceTest, ConsentFlagOverHttp) {
   HttpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
   auto response =
-      client.Get("/recommend?session_id=p&item_id=7&consent=false");
+      client.Get("/v1/recommend?session_id=p&item_id=7&consent=false");
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
   server.Stop();
@@ -666,32 +642,17 @@ class V1ApiTest : public ServiceTest {
   HttpClient client_;
 };
 
-TEST_F(V1ApiTest, LegacyAliasIsByteIdenticalPlusDeprecationHeader) {
+TEST_F(V1ApiTest, PreV1PathsAre404Envelope) {
   StartServer();
-  // Two sessions with identical histories: the /v1 and legacy paths must
-  // produce byte-identical success bodies, differing only in the
-  // Deprecation response header.
-  auto v1 = client_.Get("/v1/recommend?session_id=a&item_id=7");
-  auto legacy = client_.Get("/recommend?session_id=b&item_id=7");
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(v1->status, 200);
-  EXPECT_EQ(legacy->status, 200);
-  EXPECT_EQ(legacy->body, v1->body);
-  EXPECT_EQ(legacy->Header("Deprecation"), "true");
-  EXPECT_EQ(v1->Header("Deprecation"), "");
-
-  // The same holds for healthz / stats shape and the other aliases.
-  EXPECT_EQ(client_.Get("/v1/healthz")->Header("Deprecation"), "");
-  EXPECT_EQ(client_.Get("/healthz")->Header("Deprecation"), "true");
-
-  // Deprecated traffic is counted (2 legacy requests so far).
-  auto metrics = client_.Get("/v1/metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(
-      metrics->body.find("serenade_http_deprecated_requests_total 2"),
-      std::string::npos)
-      << metrics->body;
+  for (const std::string path :
+       {"/recommend?session_id=a&item_id=7", "/healthz"}) {
+    auto response = client_.Get(path);
+    ASSERT_TRUE(response.ok()) << path;
+    EXPECT_EQ(response->status, 404) << path;
+    EXPECT_NE(response->body.find("\"code\":\"not_found\""),
+              std::string::npos)
+        << response->body;
+  }
 }
 
 TEST_F(V1ApiTest, PostRecommendMatchesGet) {

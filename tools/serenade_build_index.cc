@@ -8,9 +8,9 @@
 // session similarity index with the data-parallel builder, and writes the
 // compressed binary index file plus a `<output>.manifest` sidecar
 // stamping the rollout version, build id, corpus counts, and artifact
-// CRC. Serving pods honour the manifest on load and on POST /admin/reload
-// hot swaps. When no --clicks file is given, generates a synthetic
-// dataset instead (useful for demos).
+// CRC. Serving pods honour the manifest on load and on POST
+// /v1/admin/index/reload hot swaps. When no --clicks file is given,
+// generates a synthetic dataset instead (useful for demos).
 //
 // Rollout safety: when the output path already carries a manifest with a
 // version >= the one being written, the tool refuses to clobber it (a
@@ -32,39 +32,17 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   const std::string clicks_path = flags.GetString("clicks");
   const std::string output_path = flags.GetString("output", "session.index");
-  const size_t m = flags.GetInt("m", 500);
-
-  Dataset dataset;
-  if (!clicks_path.empty()) {
-    auto clicks = ReadClicksCsv(clicks_path);
-    if (!clicks.ok()) {
-      std::fprintf(stderr, "failed to read %s: %s\n", clicks_path.c_str(),
-                   clicks.status().ToString().c_str());
-      return 1;
-    }
-    dataset = Dataset::FromClicks(std::move(clicks).value());
-  } else {
-    SyntheticConfig config;
-    config.seed = flags.GetInt("seed", 42);
-    config.num_sessions = flags.GetInt("synthetic-sessions", 50000);
-    config.num_items = flags.GetInt("synthetic-items",
-                                    config.num_sessions / 4);
-    config.num_days = flags.GetInt("synthetic-days", 30);
-    std::printf("no --clicks given; generating synthetic data\n");
-    dataset = GenerateDataset(config);
-  }
-
-  const DatasetStats stats = ComputeStats("input", dataset);
-  std::printf("%s", FormatStatsTable({stats}).c_str());
-
-  Stopwatch build_timer;
   IndexBuilderOptions options;
-  options.max_sessions_per_item = m;
+  options.max_sessions_per_item = flags.GetInt("m", 500);
   options.num_threads = flags.GetInt("threads", 0);
-  SessionIndex index = BuildIndexParallel(dataset, options);
-  std::printf("built index in %.2fs: %zu postings, %.1f MB resident\n",
-              build_timer.ElapsedSeconds(), index.num_postings(),
-              static_cast<double>(index.MemoryBytes()) / 1e6);
+  SyntheticConfig synthetic;
+  if (clicks_path.empty()) {
+    synthetic.seed = flags.GetInt("seed", 42);
+    synthetic.num_sessions = flags.GetInt("synthetic-sessions", 50000);
+    synthetic.num_items =
+        flags.GetInt("synthetic-items", synthetic.num_sessions / 4);
+    synthetic.num_days = flags.GetInt("synthetic-days", 30);
+  }
 
   // Stamp the rollout manifest. Default version is the build wall-clock,
   // which is monotone across nightly runs; an explicit --version lets a
@@ -76,8 +54,33 @@ int main(int argc, char** argv) {
       flags.GetString("build-id", "build-" + std::to_string(now));
   manifest.built_unix = now;
   manifest.source = clicks_path.empty() ? "synthetic" : clicks_path;
+  const bool force = flags.GetBool("force", false);
+  flags.RejectUnread();
 
-  if (!flags.GetBool("force", false)) {
+  Dataset dataset;
+  if (!clicks_path.empty()) {
+    auto clicks = ReadClicksCsv(clicks_path);
+    if (!clicks.ok()) {
+      std::fprintf(stderr, "failed to read %s: %s\n", clicks_path.c_str(),
+                   clicks.status().ToString().c_str());
+      return 1;
+    }
+    dataset = Dataset::FromClicks(std::move(clicks).value());
+  } else {
+    std::printf("no --clicks given; generating synthetic data\n");
+    dataset = GenerateDataset(synthetic);
+  }
+
+  const DatasetStats stats = ComputeStats("input", dataset);
+  std::printf("%s", FormatStatsTable({stats}).c_str());
+
+  Stopwatch build_timer;
+  SessionIndex index = BuildIndexParallel(dataset, options);
+  std::printf("built index in %.2fs: %zu postings, %.1f MB resident\n",
+              build_timer.ElapsedSeconds(), index.num_postings(),
+              static_cast<double>(index.MemoryBytes()) / 1e6);
+
+  if (!force) {
     if (Status guard = CheckManifestOverwrite(output_path, manifest.version);
         !guard.ok()) {
       std::fprintf(stderr, "%s\n  pass --force to overwrite anyway\n",

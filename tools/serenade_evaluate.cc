@@ -26,9 +26,27 @@ using namespace serenade;
 
 int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
+  const std::string clicks_path = flags.GetString("clicks");
+  SyntheticConfig synthetic;
+  if (clicks_path.empty()) {
+    synthetic.seed = flags.GetInt("seed", 42);
+    synthetic.num_sessions = flags.GetInt("synthetic-sessions", 30000);
+    synthetic.num_items = flags.GetInt("synthetic-items", 5000);
+    synthetic.num_days = flags.GetInt("synthetic-days", 14);
+  }
+  const size_t test_days = flags.GetInt("test-days", 1);
+  KnnConfig knn_config;
+  knn_config.m = flags.GetInt("m", 500);
+  knn_config.k = flags.GetInt("k", 100);
+  std::stringstream wanted(flags.GetString(
+      "models", "vmis-knn,sr,ar,markov,popularity,item-knn"));
+  EvalOptions options;
+  options.cutoff = flags.GetInt("cutoff", 20);
+  options.max_sessions = flags.GetInt("max-sessions", 0);
+  options.record_latency = true;
+  flags.RejectUnread();
 
   Dataset dataset;
-  const std::string clicks_path = flags.GetString("clicks");
   if (!clicks_path.empty()) {
     auto clicks = ReadClicksCsv(clicks_path);
     if (!clicks.ok()) {
@@ -38,17 +56,11 @@ int main(int argc, char** argv) {
     }
     dataset = Dataset::FromClicks(std::move(clicks).value());
   } else {
-    SyntheticConfig config;
-    config.seed = flags.GetInt("seed", 42);
-    config.num_sessions = flags.GetInt("synthetic-sessions", 30000);
-    config.num_items = flags.GetInt("synthetic-items", 5000);
-    config.num_days = flags.GetInt("synthetic-days", 14);
     std::printf("no --clicks given; generating synthetic data\n");
-    dataset = GenerateDataset(config);
+    dataset = GenerateDataset(synthetic);
   }
 
-  TrainTestSplit split =
-      SplitLastDays(dataset, flags.GetInt("test-days", 1));
+  TrainTestSplit split = SplitLastDays(dataset, test_days);
   std::printf("train %zu sessions | test %zu sessions\n",
               split.train.num_sessions(), split.test.num_sessions());
   if (split.test.num_sessions() == 0) {
@@ -56,14 +68,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  KnnConfig knn_config;
-  knn_config.m = flags.GetInt("m", 500);
-  knn_config.k = flags.GetInt("k", 100);
   SessionIndex index = SessionIndex::Build(split.train, knn_config.m);
 
   std::vector<std::pair<std::string, std::unique_ptr<Recommender>>> models;
-  std::stringstream wanted(flags.GetString(
-      "models", "vmis-knn,sr,ar,markov,popularity,item-knn"));
   std::string name;
   while (std::getline(wanted, name, ',')) {
     if (name == "vmis-knn") {
@@ -88,11 +95,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  EvalOptions options;
-  options.cutoff = flags.GetInt("cutoff", 20);
-  options.max_sessions = flags.GetInt("max-sessions", 0);
-  options.record_latency = true;
 
   std::printf("\n%-14s %8s %8s %8s %8s %8s %12s\n", "model", "MRR", "HR",
               "P", "R", "MAP", "p90 latency");

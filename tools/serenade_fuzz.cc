@@ -94,16 +94,17 @@ int RunAnnFamily(uint64_t seed, Clock::time_point deadline) {
 }
 
 int Run(int argc, char** argv) {
-  const tools::Flags flags(argc, argv);
+  tools::Flags flags(argc, argv);
   const uint64_t seed = flags.GetInt("seed", 20260806);
   const bool kernel_only = flags.GetBool("kernel-only", false);
   const std::string family = flags.GetString("family", "diff");
+  uint64_t seconds = flags.GetInt("seconds", 30);
+  flags.RejectUnread();
   if (family != "diff" && family != "ann" && family != "both") {
     std::cerr << "unknown --family \"" << family
               << "\" (expected diff|ann|both)" << std::endl;
     return 2;
   }
-  uint64_t seconds = flags.GetInt("seconds", 30);
   if (const char* env = std::getenv("SERENADE_FUZZ_SECONDS")) {
     seconds = std::strtoull(env, nullptr, 10);
   }

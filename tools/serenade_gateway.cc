@@ -11,8 +11,7 @@
 //     pod's --pod-name so donor and gateway agree on ring ownership.
 //
 //   serenade_gateway [--pods 3 | --backends 8081,8082] [--port 8080]
-//       [--forward-timeout 1000] [--max-attempts 3] [--hedge-delay 0]
-//       [--probe-interval 250] [--no-fallback] [--max-batch-items 128]
+//       [--forward-timeout 1000] [--max-attempts 3] [--probe-interval 250] [--no-fallback] [--max-batch-items 128]
 //       [--items 5000] [--sessions 20000]
 //       [--slow-request-us 0] [--slow-sample-every 1]
 //       [--max-connections 10000] [--idle-timeout-ms 60000]
@@ -85,20 +84,12 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   const size_t num_pods = flags.GetInt("pods", 0);
   const std::string backend_list = flags.GetString("backends");
-  if (num_pods == 0 && backend_list.empty()) {
-    std::fprintf(stderr,
-                 "usage: serenade_gateway (--pods N | --backends P1,P2,...) "
-                 "[--port P] [--forward-timeout MS] [--max-attempts N] "
-                 "[--hedge-delay MS] [--probe-interval MS] [--no-fallback]\n");
-    return 2;
-  }
 
   // The synthetic dataset powers both the in-process pods (index) and
   // the gateway's degraded-mode popularity fallback.
   SyntheticConfig data_config;
   data_config.num_items = flags.GetInt("items", 5000);
   data_config.num_sessions = flags.GetInt("sessions", 20000);
-  const Dataset train = GenerateDataset(data_config);
 
   // Shared slow-request policy: both the gateway and any spawned pods log
   // requests over the threshold, joined by the propagated trace id.
@@ -106,6 +97,44 @@ int main(int argc, char** argv) {
   trace_config.slow_request_micros = flags.GetInt("slow-request-us", 0);
   trace_config.sample_every_n =
       std::max<uint64_t>(1, flags.GetInt("slow-sample-every", 1));
+
+  GatewayConfig config;
+  config.port = static_cast<uint16_t>(flags.GetInt("port", 8080));
+  config.forward_timeout_ms = flags.GetInt("forward-timeout", 1000);
+  config.max_attempts = static_cast<uint32_t>(flags.GetInt("max-attempts", 3));
+  config.health.probe_interval_ms = flags.GetInt("probe-interval", 250);
+  config.max_batch_items =
+      std::max<uint64_t>(1, flags.GetInt("max-batch-items", 128));
+  config.trace = trace_config;
+  // Reactor front-door tuning (DESIGN.md §10).
+  config.http.max_connections =
+      std::max<uint64_t>(1, flags.GetInt("max-connections", 10000));
+  config.http.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 60000);
+  config.http.request_deadline_ms = flags.GetInt("request-deadline-ms", 0);
+  config.http.reactor_threads =
+      std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
+  config.http.worker_threads = flags.GetInt("worker-threads", 0);
+  // Elastic fleet data plane (DESIGN.md §12): membership changes run
+  // hand-offs / promotion on the pods and rewire their shipping peers.
+  config.manage_replication = flags.GetBool("manage-replication", false);
+  // Retrieval A/B split (DESIGN.md §13): this share of sessions is
+  // sticky-bucketed onto engine=ann (the pods need --embeddings, or the
+  // arm degrades to VMIS and counts into gateway_ab_fallbacks_total).
+  config.ab_ann_percent =
+      static_cast<uint32_t>(std::min<uint64_t>(100, flags.GetInt("ab-ann-percent", 0)));
+  config.ab_salt = flags.GetInt("ab-salt", 0);
+
+  const bool with_fallback = !flags.GetBool("no-fallback", false);
+  flags.RejectUnread();
+
+  if (num_pods == 0 && backend_list.empty()) {
+    std::fprintf(stderr,
+                 "usage: serenade_gateway (--pods N | --backends P1,P2,...) "
+                 "[--port P] [--forward-timeout MS] [--max-attempts N] "
+                 "[--probe-interval MS] [--no-fallback]\n");
+    return 2;
+  }
+  const Dataset train = GenerateDataset(data_config);
 
   std::vector<std::unique_ptr<SerenadeServer>> pods;
   std::vector<BackendEndpoint> backends;
@@ -144,35 +173,8 @@ int main(int argc, char** argv) {
     backends = ParseBackendList(backend_list);
   }
 
-  GatewayConfig config;
-  config.port = static_cast<uint16_t>(flags.GetInt("port", 8080));
-  config.forward_timeout_ms = flags.GetInt("forward-timeout", 1000);
-  config.max_attempts = static_cast<uint32_t>(flags.GetInt("max-attempts", 3));
-  config.hedge_delay_ms = flags.GetInt("hedge-delay", 0);
-  config.health.probe_interval_ms = flags.GetInt("probe-interval", 250);
-  config.max_batch_items =
-      std::max<uint64_t>(1, flags.GetInt("max-batch-items", 128));
-  config.trace = trace_config;
-  // Reactor front-door tuning (DESIGN.md §10).
-  config.http.max_connections =
-      std::max<uint64_t>(1, flags.GetInt("max-connections", 10000));
-  config.http.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 60000);
-  config.http.request_deadline_ms = flags.GetInt("request-deadline-ms", 0);
-  config.http.reactor_threads =
-      std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
-  config.http.worker_threads = flags.GetInt("worker-threads", 0);
-  // Elastic fleet data plane (DESIGN.md §12): membership changes run
-  // hand-offs / promotion on the pods and rewire their shipping peers.
-  config.manage_replication = flags.GetBool("manage-replication", false);
-  // Retrieval A/B split (DESIGN.md §13): this share of sessions is
-  // sticky-bucketed onto engine=ann (the pods need --embeddings, or the
-  // arm degrades to VMIS and counts into gateway_ab_fallbacks_total).
-  config.ab_ann_percent =
-      static_cast<uint32_t>(std::min<uint64_t>(100, flags.GetInt("ab-ann-percent", 0)));
-  config.ab_salt = flags.GetInt("ab-salt", 0);
-
   std::unique_ptr<Recommender> fallback;
-  if (!flags.GetBool("no-fallback", false)) {
+  if (with_fallback) {
     fallback = std::make_unique<PopularityRecommender>(train);
   }
 
@@ -183,11 +185,10 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "gateway on 127.0.0.1:%u fronting %zu backend(s) "
-      "(timeout=%llums, attempts=%u, hedge=%llums)\n",
+      "(timeout=%llums, attempts=%u)\n",
       gateway.port(), backends.size(),
       static_cast<unsigned long long>(config.forward_timeout_ms),
-      config.max_attempts,
-      static_cast<unsigned long long>(config.hedge_delay_ms));
+      config.max_attempts);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);

@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   config.http.reactor_threads =
       std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
   config.http.worker_threads = flags.GetInt("worker-threads", 0);
+  flags.RejectUnread();
 
   IndexBuilderServer server(config);
   if (Status status = server.Start(); !status.ok()) {

@@ -22,6 +22,23 @@ int main(int argc, char** argv) {
 
   std::vector<uint16_t> ports;
   std::stringstream port_list(flags.GetString("ports", "8080"));
+  const std::string clicks_path = flags.GetString("clicks");
+  SyntheticConfig synthetic;
+  if (clicks_path.empty()) {
+    synthetic.seed = flags.GetInt("seed", 42);
+    synthetic.num_sessions = flags.GetInt("synthetic-sessions", 20000);
+    synthetic.num_items = flags.GetInt("synthetic-items", 5000);
+  }
+  const double rps = flags.GetDouble("rps", 500);
+  const double ramp_to = flags.GetDouble("ramp-to", 0);
+  WorkloadOptions workload_options;
+  workload_options.duration_seconds = flags.GetDouble("duration", 30);
+  workload_options.seed = flags.GetInt("seed", 42);
+  LoadGeneratorOptions load_options;
+  load_options.connections_per_server = flags.GetInt("connections", 8);
+  load_options.bucket_seconds = flags.GetDouble("bucket", 2.0);
+  flags.RejectUnread();
+
   std::string token;
   while (std::getline(port_list, token, ',')) {
     ports.push_back(static_cast<uint16_t>(std::atoi(token.c_str())));
@@ -32,7 +49,6 @@ int main(int argc, char** argv) {
   }
 
   Dataset sessions;
-  const std::string clicks_path = flags.GetString("clicks");
   if (!clicks_path.empty()) {
     auto clicks = ReadClicksCsv(clicks_path);
     if (!clicks.ok()) {
@@ -42,18 +58,9 @@ int main(int argc, char** argv) {
     }
     sessions = Dataset::FromClicks(std::move(clicks).value());
   } else {
-    SyntheticConfig config;
-    config.seed = flags.GetInt("seed", 42);
-    config.num_sessions = flags.GetInt("synthetic-sessions", 20000);
-    config.num_items = flags.GetInt("synthetic-items", 5000);
-    sessions = GenerateDataset(config);
+    sessions = GenerateDataset(synthetic);
   }
 
-  const double rps = flags.GetDouble("rps", 500);
-  const double ramp_to = flags.GetDouble("ramp-to", 0);
-  WorkloadOptions workload_options;
-  workload_options.duration_seconds = flags.GetDouble("duration", 30);
-  workload_options.seed = flags.GetInt("seed", 42);
   const RateProfile profile = ramp_to > 0 ? RateProfile::Ramp(rps, ramp_to)
                                           : RateProfile::Constant(rps);
   const auto events = BuildWorkload(sessions, profile, workload_options);
@@ -61,9 +68,6 @@ int main(int argc, char** argv) {
               events.size(), workload_options.duration_seconds,
               ports.size());
 
-  LoadGeneratorOptions load_options;
-  load_options.connections_per_server = flags.GetInt("connections", 8);
-  load_options.bucket_seconds = flags.GetDouble("bucket", 2.0);
   const LoadResult result = RunLoad(events, ports, load_options);
   std::printf("%s", result.FormatTable().c_str());
   return result.total_errors == 0 ? 0 : 1;

@@ -30,7 +30,7 @@
 // accepted clicks stream to the serenade_index_builder at that port, and
 // a background fetcher polls it for cumulative deltas, layering each
 // over the pinned base snapshot (also reachable directly via POST
-// /v1/admin/delta). 0 = pipeline off.
+// /v1/admin/index/delta). 0 = pipeline off.
 //
 // Loads the binary index produced by serenade_build_index (honouring its
 // `.manifest` sidecar) and serves the versioned /v1 API (see API.md):
@@ -40,9 +40,9 @@
 //   GET  /v1/healthz            (reports the published index version)
 //   GET  /v1/stats
 //   GET  /v1/metrics
-//   POST /v1/admin/reload[?path=other.index]  (zero-downtime index swap)
-// The unversioned paths still answer (byte-identical) but are stamped
-// `Deprecation: true`.
+//   POST /v1/admin/index/reload[?path=other.index]  (zero-downtime swap)
+// Flags the server does not read are rejected (exit 2) before it loads
+// anything.
 //
 // --batch-max-size > 1 turns on the micro-batching executor: concurrent
 // requests coalesce (waiting up to --batch-max-delay-us for a full batch)
@@ -75,71 +75,17 @@ void HandleSignal(int) { g_stop.store(true); }
 int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   const std::string index_path = flags.GetString("index");
-  if (index_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: serenade_server --index session.index [--port P] "
-                 "[--m M] [--k K] [--ttl SECONDS] [--wal FILE]\n");
-    return 2;
-  }
-
-  auto manager = IndexManager::CreateFromFile(index_path);
-  if (!manager.ok()) {
-    std::fprintf(stderr, "failed to load index: %s\n",
-                 manager.status().ToString().c_str());
-    return 1;
-  }
-  const auto boot = (*manager)->Current();
-  std::printf(
-      "loaded index version %llu (%s): %zu sessions, %zu items, %zu "
-      "postings\n",
-      static_cast<unsigned long long>(boot->version()),
-      boot->manifest().build_id.empty() ? "no manifest"
-                                        : boot->manifest().build_id.c_str(),
-      boot->index().num_sessions(), boot->index().num_items(),
-      boot->index().num_postings());
-
   ServiceConfig service_config;
-  service_config.knn.m = std::min<size_t>(
-      flags.GetInt("m", 500), boot->index().max_sessions_per_item());
-  service_config.knn.k =
-      std::min<size_t>(flags.GetInt("k", 100), service_config.knn.m);
+  // m and k are clamped to the loaded index below.
+  service_config.knn.m = flags.GetInt("m", 500);
+  service_config.knn.k = flags.GetInt("k", 100);
   service_config.rules.max_items = flags.GetInt("max-items", 21);
   // "Other customers also viewed" slots usually hide already-seen items.
   service_config.knn.exclude_session_items =
       flags.GetBool("exclude-seen", false);
   service_config.store.ttl_seconds = flags.GetInt("ttl", 1800);
   service_config.store.wal_path = flags.GetString("wal");
-
-  // Without a catalog feed every item is available and non-adult.
-  ItemCatalog catalog;
-  catalog.available.assign(boot->index().num_items(), true);
-  catalog.adult.assign(boot->index().num_items(), false);
-
-  auto service =
-      SerenadeService::Create(std::move(manager).value(), catalog,
-                              service_config);
-  if (!service.ok()) {
-    std::fprintf(stderr, "service: %s\n", service.status().ToString().c_str());
-    return 1;
-  }
-
-  // Optional second retrieval family (DESIGN.md §13): the item2vec
-  // artifact from serenade_train_embeddings, served as `engine=ann` and
-  // hot-swappable via POST /v1/admin/embeddings/reload.
   const std::string embeddings_path = flags.GetString("embeddings");
-  if (!embeddings_path.empty()) {
-    auto embedding_manager = EmbeddingManager::CreateFromFile(embeddings_path);
-    if (!embedding_manager.ok()) {
-      std::fprintf(stderr, "failed to load embeddings: %s\n",
-                   embedding_manager.status().ToString().c_str());
-      return 1;
-    }
-    const auto snapshot = (*embedding_manager)->Current();
-    std::printf("loaded embeddings version %llu: %zu items x %zu dims\n",
-                static_cast<unsigned long long>(snapshot->version()),
-                snapshot->embeddings().num_items, snapshot->embeddings().dim);
-    (*service)->AttachEmbeddings(std::move(embedding_manager).value());
-  }
 
   ServerConfig server_config;
   server_config.port = static_cast<uint16_t>(flags.GetInt("port", 8080));
@@ -165,33 +111,101 @@ int main(int argc, char** argv) {
   server_config.http.reactor_threads =
       std::max<uint64_t>(1, flags.GetInt("reactor-threads", 1));
   server_config.http.worker_threads = flags.GetInt("worker-threads", 0);
+
+  PodReplicationConfig repl_config;
+  repl_config.pod_name = flags.GetString("pod-name");
+  if (!repl_config.pod_name.empty()) {
+    repl_config.virtual_nodes =
+        std::max<uint64_t>(1, flags.GetInt("virtual-nodes", 128));
+    repl_config.ship_interval_ms =
+        std::max<uint64_t>(1, flags.GetInt("ship-interval-ms", 20));
+  }
+  const uint16_t builder_port =
+      static_cast<uint16_t>(flags.GetInt("builder-port", 0));
+  DeltaFetcherConfig fetch_config;
+  if (builder_port != 0) {
+    fetch_config.builder_port = builder_port;
+    fetch_config.poll_interval_ms =
+        std::max<uint64_t>(1, flags.GetInt("delta-poll-ms", 1000));
+  }
+  flags.RejectUnread();
+
+  if (index_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: serenade_server --index session.index [--port P] "
+                 "[--m M] [--k K] [--ttl SECONDS] [--wal FILE]\n");
+    return 2;
+  }
+  if (!repl_config.pod_name.empty() && service_config.store.wal_path.empty()) {
+    std::fprintf(stderr, "--pod-name requires --wal (the WAL is the "
+                         "replication unit)\n");
+    return 2;
+  }
+
+  auto manager = IndexManager::CreateFromFile(index_path);
+  if (!manager.ok()) {
+    std::fprintf(stderr, "failed to load index: %s\n",
+                 manager.status().ToString().c_str());
+    return 1;
+  }
+  const auto boot = (*manager)->Current();
+  std::printf(
+      "loaded index version %llu (%s): %zu sessions, %zu items, %zu "
+      "postings\n",
+      static_cast<unsigned long long>(boot->version()),
+      boot->manifest().build_id.empty() ? "no manifest"
+                                        : boot->manifest().build_id.c_str(),
+      boot->index().num_sessions(), boot->index().num_items(),
+      boot->index().num_postings());
+
+  service_config.knn.m = std::min<size_t>(
+      service_config.knn.m, boot->index().max_sessions_per_item());
+  service_config.knn.k =
+      std::min<size_t>(service_config.knn.k, service_config.knn.m);
+
+  // Without a catalog feed every item is available and non-adult.
+  ItemCatalog catalog;
+  catalog.available.assign(boot->index().num_items(), true);
+  catalog.adult.assign(boot->index().num_items(), false);
+
+  auto service =
+      SerenadeService::Create(std::move(manager).value(), catalog,
+                              service_config);
+  if (!service.ok()) {
+    std::fprintf(stderr, "service: %s\n", service.status().ToString().c_str());
+    return 1;
+  }
+
+  // Optional second retrieval family (DESIGN.md §13): the item2vec
+  // artifact from serenade_train_embeddings, served as `engine=ann` and
+  // hot-swappable via POST /v1/admin/embeddings/reload.
+  if (!embeddings_path.empty()) {
+    auto embedding_manager = EmbeddingManager::CreateFromFile(embeddings_path);
+    if (!embedding_manager.ok()) {
+      std::fprintf(stderr, "failed to load embeddings: %s\n",
+                   embedding_manager.status().ToString().c_str());
+      return 1;
+    }
+    const auto snapshot = (*embedding_manager)->Current();
+    std::printf("loaded embeddings version %llu: %zu items x %zu dims\n",
+                static_cast<unsigned long long>(snapshot->version()),
+                snapshot->embeddings().num_items, snapshot->embeddings().dim);
+    (*service)->AttachEmbeddings(std::move(embedding_manager).value());
+  }
+
   SerenadeServer server(std::move(service).value(), server_config);
 
   // Optional replication agent (DESIGN.md §12): must attach before
   // Start() so its routes and write-divert hooks are registered before
   // the first request can land.
-  const std::string pod_name = flags.GetString("pod-name");
   std::unique_ptr<PodReplication> replication;
-  if (!pod_name.empty()) {
-    if (service_config.store.wal_path.empty()) {
-      std::fprintf(stderr, "--pod-name requires --wal (the WAL is the "
-                           "replication unit)\n");
-      return 2;
-    }
-    PodReplicationConfig repl_config;
-    repl_config.pod_name = pod_name;
-    repl_config.virtual_nodes =
-        std::max<uint64_t>(1, flags.GetInt("virtual-nodes", 128));
-    repl_config.ship_interval_ms =
-        std::max<uint64_t>(1, flags.GetInt("ship-interval-ms", 20));
+  if (!repl_config.pod_name.empty()) {
     replication =
         std::make_unique<PodReplication>(&server, repl_config);
   }
 
   // Optional freshness-pipeline plumbing: tap accepted clicks out to the
   // index builder, poll it for cumulative deltas, apply them as overlays.
-  const uint16_t builder_port =
-      static_cast<uint16_t>(flags.GetInt("builder-port", 0));
   std::unique_ptr<ClickTap> tap;
   std::unique_ptr<DeltaFetcher> fetcher;
   if (builder_port != 0) {
@@ -206,10 +220,6 @@ int main(int argc, char** argv) {
         [&tap](const std::string& session_key, ItemId item) {
           tap->Observe(session_key, item);
         });
-    DeltaFetcherConfig fetch_config;
-    fetch_config.builder_port = builder_port;
-    fetch_config.poll_interval_ms =
-        std::max<uint64_t>(1, flags.GetInt("delta-poll-ms", 1000));
     fetcher = std::make_unique<DeltaFetcher>(
         fetch_config,
         [&server](const IndexDelta& delta) { return server.ApplyDelta(delta); });
@@ -235,11 +245,11 @@ int main(int argc, char** argv) {
     }
     std::printf("replication on: pod \"%s\" awaiting peer wiring from a "
                 "--manage-replication gateway\n",
-                pod_name.c_str());
+                repl_config.pod_name.c_str());
   }
   std::printf(
       "serving on 127.0.0.1:%u (m=%zu, k=%zu, ttl=%llus, batch=%zu); hot "
-      "swap with curl -X POST 'http://127.0.0.1:%u/v1/admin/reload'\n",
+      "swap with curl -X POST 'http://127.0.0.1:%u/v1/admin/index/reload'\n",
       server.port(), service_config.knn.m, service_config.knn.k,
       static_cast<unsigned long long>(service_config.store.ttl_seconds),
       server_config.batch.max_batch_size, server.port());

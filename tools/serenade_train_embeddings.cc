@@ -31,20 +31,10 @@ using namespace serenade;
 int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   const std::string out_path = flags.GetString("out");
-  if (out_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: serenade_train_embeddings --out items.emb "
-                 "[--sessions N] [--items N] [--dim D] [--epochs E]\n");
-    return 2;
-  }
-
   SyntheticConfig synth;
   synth.seed = flags.GetInt("data-seed", 42);
   synth.num_sessions = flags.GetInt("sessions", 20000);
   synth.num_items = flags.GetInt("items", 2000);
-  const Dataset train = GenerateDataset(synth);
-  std::printf("clickstream: %zu sessions, %zu items, %zu clicks\n",
-              train.num_sessions(), train.num_items(), train.num_clicks());
 
   Item2VecConfig config;
   config.dim = flags.GetInt("dim", 32);
@@ -58,6 +48,25 @@ int main(int argc, char** argv) {
     config.num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
+  IndexManifest stamp;
+  stamp.version = flags.GetInt("version", 1);
+  stamp.build_id = flags.GetString("build-id");
+  stamp.source = flags.GetString("source");
+  if (stamp.source.empty()) {
+    stamp.source = "synthetic-" + std::to_string(synth.seed);
+  }
+  flags.RejectUnread();
+
+  if (out_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: serenade_train_embeddings --out items.emb "
+                 "[--sessions N] [--items N] [--dim D] [--epochs E]\n");
+    return 2;
+  }
+  const Dataset train = GenerateDataset(synth);
+  std::printf("clickstream: %zu sessions, %zu items, %zu clicks\n",
+              train.num_sessions(), train.num_items(), train.num_clicks());
+
   double total_loss = 0.0;
   auto embeddings = TrainItemEmbeddings(train, config, &total_loss);
   if (!embeddings.ok()) {
@@ -69,13 +78,6 @@ int main(int argc, char** argv) {
               embeddings->num_items, embeddings->dim, config.num_threads,
               total_loss);
 
-  IndexManifest stamp;
-  stamp.version = flags.GetInt("version", 1);
-  stamp.build_id = flags.GetString("build-id");
-  stamp.source = flags.GetString("source");
-  if (stamp.source.empty()) {
-    stamp.source = "synthetic-" + std::to_string(synth.seed);
-  }
   auto manifest = WriteEmbeddingsWithManifest(out_path, *embeddings, stamp);
   if (!manifest.ok()) {
     std::fprintf(stderr, "write: %s\n", manifest.status().ToString().c_str());
